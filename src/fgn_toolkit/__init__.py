@@ -16,7 +16,6 @@ from .analyze import (
     variance_time_curve,
 )
 from .estimate import (
-    Periodogram,
     WhittleResult,
     periodogram,
     whittle_estimate,
@@ -38,7 +37,6 @@ from .synth import (
     Trace,
     TraceProvenance,
     fuzz_spectrum,
-    hermitian_expand,
     make_rng,
     random_phase_complexify,
     rescale_trace,
@@ -62,7 +60,6 @@ __all__ = [
     "HurstParam",
     "InterarrivalSeq",
     "NormalityReport",
-    "Periodogram",
     "SpectrumGrid",
     "Trace",
     "TraceProvenance",
@@ -78,7 +75,6 @@ __all__ = [
     "fgn_autocorrelation",
     "fgn_power_spectrum",
     "fuzz_spectrum",
-    "hermitian_expand",
     "make_rng",
     "periodogram",
     "qq_points",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .synth import Trace
 
@@ -104,21 +104,26 @@ def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
     )
 
 
-def ad_statistic(values: np.ndarray) -> float:
+def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     """Modified A^2 against the normal with estimated mean and variance.
 
     Applies the small-sample factor (1 + 0.75/n + 2.25/n^2); compare to
     ``AD_CRITICAL_5PCT``.  CDF values are clipped away from {0, 1} so the
-    statistic stays finite for extreme outliers (which fail anyway).
+    statistic stays finite for extreme outliers (which fail anyway).  Each
+    row along the last axis is one sample: a 1-d input gives a float, a
+    2-d one an array with one statistic per row.
     """
     x = np.asarray(values, dtype=float)
-    n = x.size
-    y = np.sort(x)
-    z = norm.cdf((y - x.mean()) / x.std(ddof=1))
+    n = x.shape[-1]
+    y = np.sort(x, axis=-1)
+    mean = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, ddof=1, keepdims=True)
+    z = ndtr((y - mean) / sd)
     z = np.clip(z, 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
-    s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[::-1])))
-    return float((-n - s) * (1.0 + 0.75 / n + 2.25 / n**2))
+    s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
+    a2 = (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
+    return float(a2) if x.ndim == 1 else a2
 
 
 def ad_normality_test(t: Trace) -> NormalityReport:
@@ -139,5 +144,5 @@ def qq_points(t: Trace) -> np.ndarray:
     """
     if t.n < 2:
         raise ValueError("Q-Q plot needs at least 2 samples")
-    theoretical = norm.ppf((np.arange(1, t.n + 1) - 0.5) / t.n)
+    theoretical = ndtri((np.arange(1, t.n + 1) - 0.5) / t.n)
     return np.column_stack([theoretical, np.sort(t.values)])

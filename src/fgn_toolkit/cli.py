@@ -1,9 +1,10 @@
 """Command line front end: synthesis, estimation, analysis, conversion.
 
-Exit codes: 0 success, 2 bad flags or domain errors, 3 I/O failure,
-4 degenerate trace, 5 estimate converged to a search boundary, 6 clamp
-fraction above 10% under --strict.  Data and summaries go to stdout,
-diagnostics to stderr.
+Exit codes: 0 success, 2 bad flags or domain errors, 3 I/O failure
+(including a trace file holding a non-finite value), 4 degenerate trace
+(including counts or arrival totals too large to represent), 5 estimate
+converged to a search boundary, 6 clamp fraction above 10% under
+--strict.  Data and summaries go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ def _parse_mode(text: str) -> BMode:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    drawn = secrets.randbits(63)
-    print(f"seed={drawn} (drawn from system entropy)", file=sys.stderr)
-    return drawn
+    return secrets.randbits(63) if seed is None else seed
+
+
+def _report_drawn_seed(flag: int | None, seed: int) -> None:
+    # printed once the seeded step has succeeded, so an error stays one line
+    if flag is None:
+        print(f"seed={seed} (drawn from system entropy)", file=sys.stderr)
 
 
 def _load_trace(path: str, fmt: str) -> Trace:
@@ -73,14 +76,17 @@ def _check_sd_flag(sd: float | None) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.n < 4 or args.n % 2 != 0:
-        raise _UsageError(f"--n must be an even integer >= 4, got {args.n}")
     _check_sd_flag(args.sd)
     h = _parse_hurst(args.hurst)
     mode = _parse_mode(args.mode)
     seed = _resolve_seed(args.seed)
     started = time.perf_counter()
-    trace = synthesize_fgn(h, args.n, seed, mode)
+    try:
+        trace = synthesize_fgn(h, args.n, seed, mode)
+    except ValueError as exc:
+        # synthesize_fgn only rejects its n and seed arguments
+        raise _UsageError(str(exc)) from None
+    _report_drawn_seed(args.seed, seed)
     if args.mean is not None or args.sd is not None:
         trace = rescale_trace(
             trace,
@@ -168,9 +174,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             )
         if args.transform == "exp2":
             trace = traffic.exp2_transform(trace)
+        arrivals = traffic.to_integer_counts(trace, args.bin_width)
     except ValueError as exc:
         raise _DegenerateTrace(str(exc)) from None
-    arrivals = traffic.to_integer_counts(trace, args.bin_width)
     print(f"clamp_fraction={arrivals.clamp_fraction:.4f}", file=sys.stderr)
     if args.strict and arrivals.clamp_fraction > 0.10:
         print(
@@ -181,8 +187,14 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.emit == "counts":
         lines = (str(c) for c in arrivals.counts)
     else:
-        rng = make_rng(_resolve_seed(args.seed)) if args.spread == "uniform" else None
-        seq = traffic.counts_to_interarrivals(arrivals, spread=args.spread, rng=rng)
+        seed = _resolve_seed(args.seed) if args.spread == "uniform" else None
+        rng = None if seed is None else make_rng(seed)
+        try:
+            seq = traffic.counts_to_interarrivals(arrivals, spread=args.spread, rng=rng)
+        except ValueError as exc:
+            raise _DegenerateTrace(str(exc)) from None
+        if seed is not None:
+            _report_drawn_seed(args.seed, seed)
         lines = (f"{t:.17g}" for t in seq.times)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import BMode, HurstParam, _power_spectrum_values
+from .spectrum import BMode, HurstParam, SpectrumGrid, _power_spectrum_values
 from .synth import Trace
 
 __all__ = [
-    "Periodogram",
     "WhittleResult",
     "periodogram",
     "whittle_objective",
@@ -48,31 +47,6 @@ _SIGMA_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
-class Periodogram:
-    """Squared DFT magnitudes |X_j|^2 / n at lam_j = 2 pi j / n, j = 1..n/2."""
-
-    lambdas: np.ndarray
-    ordinates: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        ords = np.asarray(self.ordinates, dtype=float)
-        if lam.ndim != 1 or ords.ndim != 1 or lam.size != ords.size or lam.size == 0:
-            raise ValueError("lambdas and ordinates must be nonempty equal-length 1-d arrays")
-        if np.any(lam <= 0) or np.any(lam > np.pi) or np.any(np.diff(lam) <= 0):
-            raise ValueError("frequencies must be strictly increasing within (0, pi]")
-        if np.any(ords < 0):
-            raise ValueError("periodogram ordinates must be nonnegative")
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "ordinates", ords)
-
-    @property
-    def n(self) -> int:
-        """Length of the originating sample path."""
-        return 2 * self.lambdas.size
-
-
-@dataclass(frozen=True)
 class WhittleResult:
     h_hat: float
     sigma_h: float
@@ -82,7 +56,7 @@ class WhittleResult:
     at_boundary: bool = False
 
 
-def periodogram(t: Trace) -> Periodogram:
+def periodogram(t: Trace) -> SpectrumGrid:
     """Periodogram of an even-length trace, n >= 4.
 
     Convention: I_j = |DFT_j(x)|^2 / n over j = 1..n/2.  Any fixed positive
@@ -95,7 +69,7 @@ def periodogram(t: Trace) -> Periodogram:
     coeffs = np.fft.rfft(t.values)[1:]
     ords = (coeffs.real**2 + coeffs.imag**2) / n
     lam = 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
-    return Periodogram(lam, ords)
+    return SpectrumGrid(lam, ords)
 
 
 def _normalized_spectrum(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
@@ -104,10 +78,14 @@ def _normalized_spectrum(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
     return f * np.exp(-np.mean(np.log(f)))
 
 
-def whittle_objective(p: Periodogram, h: HurstParam, mode: BMode) -> float:
+def _objective(p: SpectrumGrid, h: float, mode: BMode) -> float:
+    f_norm = _normalized_spectrum(p.lambdas, h, mode)
+    return 2.0 * np.pi / p.n * float(np.sum(p.values / f_norm))
+
+
+def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
     """Discretized ratio integral (2 pi / n) sum_j I(lam_j) / f_norm(lam_j, h)."""
-    f_norm = _normalized_spectrum(p.lambdas, h.h, mode)
-    return float((2.0 * np.pi / p.n) * np.sum(p.ordinates / f_norm))
+    return _objective(p, h.h, mode)
 
 
 def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult:
@@ -123,32 +101,25 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     if np.ptp(t.values) == 0.0:
         raise ValueError("degenerate (constant) trace")
     p = periodogram(t)
-    lam = p.lambdas
-    ords = p.ordinates
-    two_pi_over_n = 2.0 * np.pi / p.n
-
-    def objective(h: float) -> float:
-        return two_pi_over_n * float(np.sum(ords / _normalized_spectrum(lam, h, mode)))
-
     a, b = _H_LO, _H_HI
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
+    fc, fd = _objective(p, c, mode), _objective(p, d, mode)
     while (b - a) > tol:
         if fc <= fd:  # ties resolve toward lower h
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = objective(c)
+            fc = _objective(p, c, mode)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = objective(d)
+            fd = _objective(p, d, mode)
     h_hat = 0.5 * (a + b)
     at_boundary = (h_hat - _H_LO) <= tol or (_H_HI - h_hat) <= tol
     return WhittleResult(
         h_hat=h_hat,
         sigma_h=whittle_sigma(HurstParam(h_hat), t.n, mode),
-        objective=objective(h_hat),
+        objective=_objective(p, h_hat, mode),
         mode=mode,
         n=t.n,
         at_boundary=at_boundary,

@@ -168,7 +168,7 @@ NEAR_EXACT = BMode.partial(10000)
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Power-spectrum values sampled on strictly increasing frequencies."""
+    """Power-spectrum or periodogram values on strictly increasing frequencies."""
 
     lambdas: np.ndarray
     values: np.ndarray
@@ -192,6 +192,11 @@ class SpectrumGrid:
     def __len__(self) -> int:
         return self.lambdas.size
 
+    @property
+    def n(self) -> int:
+        """Length of the time-domain path whose Fourier frequencies these are."""
+        return 2 * self.lambdas.size
+
 
 def fgn_autocorrelation(h: HurstParam, k):
     """Exact FGN autocorrelation r(k) = ((k+1)^2H - 2 k^2H + |k-1|^2H) / 2.
@@ -212,8 +217,12 @@ def spectrum_factor_a(h: HurstParam, lam):
     larr = np.asarray(lam, dtype=float)
     if np.any(np.abs(larr) > np.pi):
         raise ValueError("|lambda| must not exceed pi")
-    a = 2.0 * np.sin(np.pi * h.h) * _gamma(2.0 * h.h + 1.0) * (1.0 - np.cos(larr))
+    a = _factor_a(larr, h.h)
     return float(a) if np.isscalar(lam) or larr.ndim == 0 else a
+
+
+def _factor_a(lam: np.ndarray, h: float) -> np.ndarray:
+    return 2.0 * np.sin(np.pi * h) * _gamma(2.0 * h + 1.0) * (1.0 - np.cos(lam))
 
 
 def _b_partial(lam: np.ndarray, h: float, n_terms: int) -> np.ndarray:
@@ -272,8 +281,7 @@ def spectrum_b(h: HurstParam, lam, mode: BMode):
 
 def _power_spectrum_values(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
     """f(lam, h) on a validated array with a raw float h (no HurstParam)."""
-    a = 2.0 * np.sin(np.pi * h) * _gamma(2.0 * h + 1.0) * (1.0 - np.cos(lam))
-    return a * (lam ** (-2.0 * h - 1.0) + _b_values(lam, h, mode))
+    return _factor_a(lam, h) * (lam ** (-2.0 * h - 1.0) + _b_values(lam, h, mode))
 
 
 def fgn_power_spectrum(h: HurstParam, lam, mode: BMode):

@@ -3,10 +3,11 @@
 The pipeline builds the FGN power spectrum on the Fourier frequencies,
 multiplies each value by an independent mean-1 exponential variate (the
 periodogram of a Gaussian process is asymptotically exponential around the
-true spectrum), attaches uniformly random phases, mirrors the half spectrum
-into a conjugate-symmetric full spectrum with a zero DC term, and inverse
-transforms.  The result is a real, zero-mean path whose periodogram equals
-the fuzzed spectrum exactly (up to the fixed 1/n transform convention).
+true spectrum), attaches uniformly random phases, and takes the real
+inverse FFT of the half spectrum with a zero DC term prepended (the
+inverse transform of its conjugate-symmetric mirror).  The result is a
+real, zero-mean path whose periodogram equals the fuzzed spectrum exactly
+(up to the fixed 1/n transform convention).
 
 Randomness comes from an explicit ``numpy.random.Generator`` (PCG64 when
 created through :func:`make_rng`).  The draw order is fixed: all n/2
@@ -29,7 +30,6 @@ __all__ = [
     "make_rng",
     "fuzz_spectrum",
     "random_phase_complexify",
-    "hermitian_expand",
     "synthesize_fgn",
     "rescale_trace",
 ]
@@ -91,30 +91,13 @@ def random_phase_complexify(grid: SpectrumGrid, rng: np.random.Generator) -> np.
     """Complex half spectrum with |z_j|^2 = value_j and uniform phases.
 
     The final entry is the Nyquist bin; its phase is forced to zero (after
-    drawing the full phase vector) so the expanded spectrum is exactly
+    drawing the full phase vector) so the spectrum it completes is exactly
     conjugate-symmetric.
     """
     phases = 2.0 * np.pi * rng.random(len(grid))
     z = np.sqrt(grid.values) * np.exp(1j * phases)
     z[-1] = np.abs(z[-1])
     return z
-
-
-def hermitian_expand(half: np.ndarray) -> np.ndarray:
-    """Mirror a half spectrum of length n/2 into a length-n full spectrum.
-
-    Index 0 (the DC term) is exactly zero, indices 1..n/2 copy the input,
-    and indices n/2+1..n-1 hold the reversed complex conjugates, so the
-    inverse transform of the result is real.
-    """
-    half = np.asarray(half, dtype=complex)
-    if half.ndim != 1 or half.size < 1:
-        raise ValueError("half spectrum must be a nonempty 1-d array")
-    full = np.empty(2 * half.size, dtype=complex)
-    full[0] = 0.0
-    full[1 : half.size + 1] = half
-    full[half.size + 1 :] = np.conj(half[-2::-1])
-    return full
 
 
 def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trace:
@@ -132,8 +115,7 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     grid = build_spectrum_grid(h, n, mode)
     fuzzed = fuzz_spectrum(grid, rng)
     half = random_phase_complexify(fuzzed, rng)
-    full = hermitian_expand(half)
-    values = np.fft.ifft(full).real
+    values = np.fft.irfft(np.concatenate(([0.0], half)), n)
     return Trace(values, TraceProvenance(h=h, seed=int(seed), mode=mode))
 
 

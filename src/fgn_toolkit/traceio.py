@@ -1,14 +1,18 @@
 """Trace file formats used by the command line tools.
 
 Text traces are UTF-8 with LF line endings, one decimal value per line
-(17 significant digits, '.' radix), with '#' comment lines.  On output a
+(17 significant digits, '.' radix), with '#' comments.  On output a
 '# fgn-toolkit v1' header plus '# h=', '# seed=' and '# mode=' provenance
-comments are written when known; all comments are ignored on input.
+comments are written when known.  On input a '#' starts a comment anywhere
+on a line, so '1.5  # note' reads as 1.5, and blank lines are skipped.  A
+non-finite value ('nan', 'inf') is rejected with ``ValueError``.
 
 Raw traces are little-endian IEEE-754 binary64 values with no header.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -41,16 +45,15 @@ def _write_text(path: str, t: Trace) -> None:
 
 
 def _read_text(path: str) -> Trace:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            values.append(float(line))
-    if not values:
+    with warnings.catch_warnings():
+        # an empty file is reported below as a ValueError, like every bad trace
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+    if values.shape[0] == 0:
         raise ValueError(f"no data lines in {path}")
-    return Trace(np.array(values))
+    if values.shape[1] != 1:
+        raise ValueError(f"expected one value per line in {path}, got {values.shape[1]}")
+    return Trace(values[:, 0])
 
 
 def _write_raw(path: str, t: Trace) -> None:

@@ -27,6 +27,12 @@ __all__ = [
 
 _EXP2_MAX_EXPONENT = 1000.0
 _CLAMP_WARN_FRACTION = 0.10
+# Counts are int64, so a rounded value must stay below 2**63.
+_MAX_COUNT = 2.0**63
+# Most arrival times counts_to_interarrivals will emit (16 GiB of float64
+# times), far above the ~17.8M of a 2**21-bin exp2 trace with log2 mean 3;
+# a larger total is a mis-scaled input, not a trace to allocate.
+_MAX_ARRIVALS = 2**31
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,13 @@ def to_integer_counts(t: Trace, bin_width: float) -> ArrivalTrace:
     The clamp fraction is the share of strictly negative input values and
     is carried on the result; above 10% it also triggers a warning, since
     that many negatives means a Gaussian count model with this mean and sd
-    fits the data poorly.
+    fits the data poorly.  Raises ``ValueError`` when a rounded value
+    reaches 2**63, the int64 limit.
     """
     rounded = np.rint(t.values)
+    peak = float(rounded.max())
+    if peak >= _MAX_COUNT:
+        raise ValueError(f"count {peak:.3g} does not fit in a 64-bit integer (limit 2**63)")
     clamp_fraction = float(np.mean(t.values < 0.0))
     counts = np.maximum(rounded, 0.0).astype(np.int64)
     if clamp_fraction > _CLAMP_WARN_FRACTION:
@@ -117,11 +127,18 @@ def counts_to_interarrivals(
     j = 0..c-1, centering constant gaps away from bin edges.  The output
     always contains exactly sum(counts) strictly increasing times; exact
     floating-point ties in uniform mode are broken by a one-ulp nudge.
+    Raises ``ValueError`` before allocating when the total exceeds 2**31.
     """
     if spread not in ("uniform", "even"):
         raise ValueError(f"spread must be 'uniform' or 'even', got {spread!r}")
     counts = a.counts
     width = a.bin_width
+    # A float64 sum cannot wrap around, and is exact up to 2**53.
+    float_total = float(counts.sum(dtype=np.float64))
+    if float_total > _MAX_ARRIVALS:
+        raise ValueError(
+            f"{float_total:.3g} arrivals exceed the limit of {_MAX_ARRIVALS} (2**31)"
+        )
     total = a.total
     if total == 0:
         return InterarrivalSeq(np.empty(0))

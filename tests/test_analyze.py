@@ -119,6 +119,11 @@ class TestNormalityTest:
         assert base.pass_at_5pct == mapped.pass_at_5pct
         assert base.a2_statistic == pytest.approx(mapped.a2_statistic, rel=1e-8)
 
+    def test_statistic_of_rows_matches_each_row(self, rng):
+        x = rng.standard_normal((5, 300)) * 2.0 + 1.0
+        each = np.array([ad_statistic(row) for row in x])
+        assert np.allclose(ad_statistic(x), each, rtol=1e-12, atol=0)
+
     def test_critical_value_calibration_spot_check(self):
         # small re-run of the Monte Carlo behind the frozen 0.752
         rng = make_rng(424242)

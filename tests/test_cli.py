@@ -1,8 +1,13 @@
 """Command line behavior: flags, exit codes, file formats, summaries."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fgn_toolkit
 from fgn_toolkit.cli import main
 from fgn_toolkit.traceio import read_trace, write_trace
 from fgn_toolkit import Trace
@@ -51,7 +56,9 @@ class TestSynth:
 
     def test_odd_n_exits_2_naming_requirement(self, tmp_path, capsys):
         assert run("synth", "--n", "7", "--hurst", "0.8", "--out", str(tmp_path / "x")) == 2
-        assert "even" in capsys.readouterr().err
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert "even" in err_lines[0]
 
     def test_bad_hurst_exits_2(self, tmp_path):
         assert run("synth", "--n", "16", "--hurst", "1.5", "--out", str(tmp_path / "x")) == 2
@@ -118,6 +125,13 @@ class TestEstimate:
         path = tmp_path / "odd.txt"
         write_values(path, rng.standard_normal(101))
         assert run("estimate", "--in", str(path)) == 4
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_exits_3(self, tmp_path, capsys, bad):
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(["0.5", bad] + ["1.0"] * 62) + "\n")
+        assert run("estimate", "--in", str(path)) == 3
+        assert "finite" in capsys.readouterr().err
 
     def test_tiny_tolerance_exits_2(self, tmp_path, rng):
         path = tmp_path / "t.txt"
@@ -215,6 +229,17 @@ class TestConvert:
         with pytest.warns(UserWarning):
             assert run("convert", "--in", str(path), "--strict", "--out", str(out)) == 6
 
+    @pytest.mark.parametrize("peak,emit", [(70.0, "counts"), (50.0, "interarrivals")])
+    def test_exp2_overflow_exits_4_with_one_line(self, tmp_path, capsys, peak, emit):
+        # 2**70 does not fit an int64 count; 2**50 arrivals exceed the total limit
+        path, out = tmp_path / "t.txt", tmp_path / "c.txt"
+        write_values(path, [1.0, peak, 3.0, 4.0])
+        assert run("convert", "--in", str(path), "--transform", "exp2",
+                   "--emit", emit, "--spread", "even", "--out", str(out)) == 4
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines[-1].startswith("error: degenerate trace:")
+        assert not any("Traceback" in line for line in err_lines)
+
     def test_bad_bin_width_exits_2(self, tmp_path, rng):
         path = tmp_path / "t.txt"
         write_values(path, rng.standard_normal(64))
@@ -252,3 +277,14 @@ class TestSpectrumTable:
         assert run("spectrum", "--hurst", "0.8", "--lambda-grid", "0:3.0:5") == 2
         assert run("spectrum", "--hurst", "0.8", "--lambda-grid", "0.1:3.5:5") == 2
         assert run("spectrum", "--hurst", "0.8", "--lambda-grid", "oops") == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter that finds the package where this test found it
+    src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fgn_toolkit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

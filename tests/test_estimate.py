@@ -20,21 +20,21 @@ EXACT = BMode.partial(200)
 class TestPeriodogram:
     def test_constant_trace_has_no_power(self):
         p = periodogram(Trace(np.full(64, 5.0)))
-        assert np.all(p.ordinates < 1e-20)
+        assert np.all(p.values < 1e-20)
 
     def test_pure_cosine_peaks_at_its_frequency(self):
         n, k = 256, 5
         t = np.arange(n)
         p = periodogram(Trace(np.cos(2 * np.pi * k * t / n)))
-        assert np.argmax(p.ordinates) == k - 1
-        others = np.delete(p.ordinates, k - 1)
-        assert p.ordinates[k - 1] > 1e6 * others.max()
+        assert np.argmax(p.values) == k - 1
+        others = np.delete(p.values, k - 1)
+        assert p.values[k - 1] > 1e6 * others.max()
 
     def test_parseval_identity(self, rng):
         # (2 sum I_j - I_nyquist) / n equals the biased sample variance
         x = rng.standard_normal(4096) * 2.3 + 0.7
         p = periodogram(Trace(x))
-        lhs = (2 * np.sum(p.ordinates) - p.ordinates[-1]) / 4096
+        lhs = (2 * np.sum(p.values) - p.values[-1]) / 4096
         rhs = np.mean((x - x.mean()) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 

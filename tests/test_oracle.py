@@ -99,7 +99,7 @@ class TestExactFgn:
         n = 1024
         acc = np.zeros(n // 2)
         for _ in range(100):
-            acc += periodogram(exact_fgn(h, n, rng)).ordinates
+            acc += periodogram(exact_fgn(h, n, rng)).values
         acc /= 100
         p = periodogram(exact_fgn(h, n, make_rng(0)))
         lam = p.lambdas

@@ -1,4 +1,4 @@
-"""Synthesis pipeline: fuzzing, phases, expansion, full paths, rescaling."""
+"""Synthesis pipeline: fuzzing, phases, full paths, rescaling."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fgn_toolkit import (
     Trace,
     build_spectrum_grid,
     fuzz_spectrum,
-    hermitian_expand,
     make_rng,
     periodogram,
     random_phase_complexify,
@@ -65,28 +64,6 @@ class TestRandomPhase:
         assert z[-1].real >= 0.0
 
 
-class TestHermitianExpand:
-    def test_smallest_example(self):
-        half = np.array([1 + 2j, 3 + 0j])
-        full = hermitian_expand(half)
-        assert np.array_equal(full, np.array([0, 1 + 2j, 3, 1 - 2j]))
-
-    def test_conjugate_symmetry_exact(self, rng):
-        half = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        half[-1] = abs(half[-1])
-        full = hermitian_expand(half)
-        n = full.size
-        assert full[0] == 0
-        for j in range(1, n):
-            assert full[j] == np.conj(full[n - j])
-
-    def test_inverse_transform_is_real(self, rng):
-        grid = build_spectrum_grid(HurstParam(0.8), 512, K3)
-        z = random_phase_complexify(fuzz_spectrum(grid, rng), rng)
-        x = np.fft.ifft(hermitian_expand(z))
-        assert np.abs(x.imag).max() <= 1e-9 * np.abs(x.real).max()
-
-
 class TestSynthesizeFgn:
     def test_zero_mean(self, synth_cache):
         t = synth_cache(0.8, 4096, 11)
@@ -123,7 +100,17 @@ class TestSynthesizeFgn:
         fuzzed = fuzz_spectrum(build_spectrum_grid(h, n, K3), rng)
         t = synthesize_fgn(h, n, seed, K3)
         p = periodogram(t)
-        assert np.allclose(p.ordinates, fuzzed.values / n, rtol=1e-9)
+        assert np.allclose(p.values, fuzzed.values / n, rtol=1e-9)
+
+    def test_forward_transform_recovers_half_spectrum(self):
+        # zero DC term, each phase in its own bin, Nyquist bin real
+        h = HurstParam(0.75)
+        n, seed = 2048, 78
+        rng = make_rng(seed)
+        half = random_phase_complexify(fuzz_spectrum(build_spectrum_grid(h, n, K3), rng), rng)
+        t = synthesize_fgn(h, n, seed, K3)
+        expected = np.concatenate(([0.0], half))
+        assert np.allclose(np.fft.rfft(t.values), expected, rtol=0, atol=1e-12 * np.abs(half).max())
 
     def test_independent_runs_uncorrelated(self):
         h = HurstParam(0.8)

@@ -36,9 +36,25 @@ def test_text_ignores_comments_and_blanks(tmp_path):
     assert np.array_equal(back.values, np.array([1.5, -2.5]))
 
 
+def test_text_ignores_comment_after_a_value(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("1.5  # note\n-2.5#\n")
+    back = read_trace(str(path), "text")
+    assert np.array_equal(back.values, np.array([1.5, -2.5]))
+
+
+@pytest.mark.filterwarnings("error")
 def test_text_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# only comments\n")
+    with pytest.raises(ValueError):
+        read_trace(str(path), "text")
+
+
+@pytest.mark.parametrize("text", ["1.5 2.5\n", "1.5\n2.5 3.5\n"])
+def test_text_rejects_two_values_on_a_line(tmp_path, text):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
     with pytest.raises(ValueError):
         read_trace(str(path), "text")
 

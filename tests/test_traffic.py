@@ -80,6 +80,12 @@ class TestToIntegerCounts:
         assert out.clamp_fraction == 0.0
         assert abs(out.counts.mean() - 100.0) <= 1.0
 
+    def test_rejects_counts_beyond_int64(self):
+        top = np.nextafter(2.0**63, 0.0)
+        assert to_integer_counts(Trace(np.array([top])), 1.0).counts[0] == int(top)
+        with pytest.raises(ValueError, match="64-bit"):
+            to_integer_counts(Trace(np.array([1.0, 2.0**63])), 1.0)
+
     def test_bin_width_carried(self):
         out = to_integer_counts(Trace(np.array([1.0])), 0.25)
         assert out.bin_width == 0.25
@@ -125,6 +131,12 @@ class TestCountsToInterarrivals:
         counts = rng.integers(0, 20, size=100)
         seq = counts_to_interarrivals(ArrivalTrace(counts, 1.0), spread, rng=rng)
         assert np.all(np.diff(seq.times) > 0)
+
+    @pytest.mark.parametrize("counts", [[2**50], [2**62, 2**62, 2**62]])
+    def test_rejects_huge_total_before_allocating(self, counts):
+        # the second total wraps around to a negative int64 sum
+        with pytest.raises(ValueError, match="arrivals exceed"):
+            counts_to_interarrivals(ArrivalTrace(np.array(counts), 1.0), "even")
 
     def test_uniform_requires_rng(self):
         with pytest.raises(ValueError):
