@@ -13,6 +13,7 @@ from .analyze import (
     ad_normality_test,
     aggregate,
     qq_points,
+    sample_autocorrelation,
     variance_time_curve,
 )
 from .estimate import (
@@ -22,7 +23,7 @@ from .estimate import (
     whittle_objective,
     whittle_sigma,
 )
-from .oracle import CovarianceFactor, covariance_factor, exact_fgn, sample_autocorrelation
+from .oracle import covariance_factor, exact_fgn
 from .spectrum import (
     BMode,
     HurstParam,
@@ -56,7 +57,6 @@ __all__ = [
     "AD_CRITICAL_5PCT",
     "ArrivalTrace",
     "BMode",
-    "CovarianceFactor",
     "HurstParam",
     "InterarrivalSeq",
     "NormalityReport",

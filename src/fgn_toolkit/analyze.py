@@ -3,7 +3,8 @@
 Covers block-mean aggregation, variance-time curves with a least-squares
 slope fit (slope -2(1-H) for a self-similar process, so the implied Hurst
 parameter is 1 + slope/2), the Anderson-Darling A^2 test for marginal
-normality with estimated mean and variance, and normal Q-Q plot data.
+normality with estimated mean and variance, normal Q-Q plot data and the
+sample autocorrelation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "ad_statistic",
     "ad_normality_test",
     "qq_points",
+    "sample_autocorrelation",
 ]
 
 # 5% critical value of the modified A^2 statistic (mean and variance
@@ -146,3 +148,23 @@ def qq_points(t: Trace) -> np.ndarray:
         raise ValueError("Q-Q plot needs at least 2 samples")
     theoretical = ndtri((np.arange(1, t.n + 1) - 0.5) / t.n)
     return np.column_stack([theoretical, np.sort(t.values)])
+
+
+def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
+    """Biased sample autocorrelation rho_hat(k) for k = 0..max_lag.
+
+    rho_hat(k) = sum (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2,
+    with max_lag < n/4 so every lag keeps a reasonable overlap.
+    """
+    max_lag = int(max_lag)
+    if max_lag < 0 or max_lag >= t.n / 4:
+        raise ValueError(f"max_lag must satisfy 0 <= max_lag < n/4, got {max_lag}")
+    centered = t.values - t.mean()
+    denom = float(np.dot(centered, centered))
+    if denom == 0.0:
+        raise ValueError("degenerate (constant) trace")
+    out = np.empty(max_lag + 1)
+    out[0] = 1.0
+    for k in range(1, max_lag + 1):
+        out[k] = np.dot(centered[:-k], centered[k:]) / denom
+    return out

@@ -13,10 +13,11 @@ import argparse
 import secrets
 import sys
 import time
+import warnings
 
 import numpy as np
 
-from . import analyze, oracle, traffic
+from . import analyze, traffic
 from .estimate import whittle_estimate
 from .spectrum import NEAR_EXACT, BMode, HurstParam, fgn_power_spectrum, spectrum_b
 from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
@@ -54,6 +55,8 @@ def _parse_mode(text: str) -> BMode:
 
 
 def _resolve_seed(seed: int | None) -> int:
+    if seed is not None and seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {seed}")
     return secrets.randbits(63) if seed is None else seed
 
 
@@ -75,6 +78,14 @@ def _check_sd_flag(sd: float | None) -> None:
         raise _UsageError(f"--sd must be positive, got {sd}")
 
 
+def _apply_rescale_flags(trace: Trace, args: argparse.Namespace) -> Trace:
+    """Rescale to --mean/--sd when either is given; the other keeps 0 or 1."""
+    if args.mean is None and args.sd is None:
+        return trace
+    mean = 0.0 if args.mean is None else args.mean
+    return rescale_trace(trace, mean, 1.0 if args.sd is None else args.sd)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     _check_sd_flag(args.sd)
     h = _parse_hurst(args.hurst)
@@ -87,12 +98,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         # synthesize_fgn only rejects its n and seed arguments
         raise _UsageError(str(exc)) from None
     _report_drawn_seed(args.seed, seed)
-    if args.mean is not None or args.sd is not None:
-        trace = rescale_trace(
-            trace,
-            args.mean if args.mean is not None else 0.0,
-            args.sd if args.sd is not None else 1.0,
-        )
+    trace = _apply_rescale_flags(trace, args)
     write_trace(args.out, trace, args.format)
     elapsed = time.perf_counter() - started
     print(
@@ -125,11 +131,16 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _csv_lines(header: str, rows):
+    yield header
+    for row in rows:
+        yield ",".join(f"{v:.10g}" for v in row)
+
+
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -138,7 +149,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.what == "vt":
             curve = analyze.variance_time_curve(trace)
             if args.out:
-                _write_csv(args.out, "m,norm_var", zip(curve.m_levels, curve.norm_vars))
+                rows = zip(curve.m_levels, curve.norm_vars)
+                _write_lines(args.out, _csv_lines("m,norm_var", rows))
             print(f"implied_h={curve.implied_h:.4f} slope={curve.fitted_slope:.4f}")
         elif args.what == "normality":
             report = analyze.ad_normality_test(trace)
@@ -147,13 +159,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         elif args.what == "qq":
             points = analyze.qq_points(trace)
             if args.out:
-                _write_csv(args.out, "theoretical,sample", points)
+                _write_lines(args.out, _csv_lines("theoretical,sample", points))
             r = np.corrcoef(points[:, 0], points[:, 1])[0, 1]
             print(f"qq_r2={r * r:.6f} n={trace.n}")
         else:  # acf
-            rho = oracle.sample_autocorrelation(trace, args.max_lag)
+            rho = analyze.sample_autocorrelation(trace, args.max_lag)
             if args.out:
-                _write_csv(args.out, "lag,rho", enumerate(rho))
+                _write_lines(args.out, _csv_lines("lag,rho", enumerate(rho)))
             print(f"rho1={rho[1]:.4f} max_lag={args.max_lag}")
     except ValueError as exc:
         raise _DegenerateTrace(str(exc)) from None
@@ -164,30 +176,31 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     _check_sd_flag(args.sd)
     if args.bin_width <= 0:
         raise _UsageError(f"--bin-width must be positive, got {args.bin_width}")
+    uniform = args.emit == "interarrivals" and args.spread == "uniform"
+    seed = _resolve_seed(args.seed) if uniform else None
     trace = _load_trace(args.infile, args.format)
     try:
-        if args.mean is not None or args.sd is not None:
-            trace = rescale_trace(
-                trace,
-                args.mean if args.mean is not None else 0.0,
-                args.sd if args.sd is not None else 1.0,
-            )
+        trace = _apply_rescale_flags(trace, args)
         if args.transform == "exp2":
             trace = traffic.exp2_transform(trace)
-        arrivals = traffic.to_integer_counts(trace, args.bin_width)
+        with warnings.catch_warnings():
+            # the library's multi-line clamp warning becomes the one line below
+            warnings.simplefilter("ignore", UserWarning)
+            arrivals = traffic.to_integer_counts(trace, args.bin_width)
     except ValueError as exc:
         raise _DegenerateTrace(str(exc)) from None
-    print(f"clamp_fraction={arrivals.clamp_fraction:.4f}", file=sys.stderr)
-    if args.strict and arrivals.clamp_fraction > 0.10:
+    fraction, limit = arrivals.clamp_fraction, traffic._CLAMP_WARN_FRACTION
+    if args.strict and fraction > limit:
         print(
-            f"error: clamp fraction {arrivals.clamp_fraction:.1%} exceeds 10% under --strict",
+            f"error: clamp fraction {fraction:.1%} exceeds {limit:.0%} under --strict",
             file=sys.stderr,
         )
         return _EXIT_CLAMP
+    note = f" (above {limit:.0%}: a Gaussian count model fits poorly)" if fraction > limit else ""
+    print(f"clamp_fraction={fraction:.4f}{note}", file=sys.stderr)
     if args.emit == "counts":
         lines = (str(c) for c in arrivals.counts)
     else:
-        seed = _resolve_seed(args.seed) if args.spread == "uniform" else None
         rng = None if seed is None else make_rng(seed)
         try:
             seq = traffic.counts_to_interarrivals(arrivals, spread=args.spread, rng=rng)
@@ -196,9 +209,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         if seed is not None:
             _report_drawn_seed(args.seed, seed)
         lines = (f"{t:.17g}" for t in seq.times)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -219,14 +230,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     b_vals = np.atleast_1d(spectrum_b(h, lams, mode))
     b_ref = np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
     rel_err = (b_vals - b_ref) / b_ref
-    header = "lambda,f,B,rel_err_vs_partial10000"
-    rows = list(zip(lams, f_vals, b_vals, rel_err))
+    lines = _csv_lines("lambda,f,B,rel_err_vs_partial10000", zip(lams, f_vals, b_vals, rel_err))
     if args.out:
-        _write_csv(args.out, header, rows)
+        _write_lines(args.out, lines)
     else:
-        print(header)
-        for row in rows:
-            print(",".join(f"{v:.10g}" for v in row))
+        print("\n".join(lines))
     return 0
 
 

@@ -1,83 +1,52 @@
-"""Exact small-n FGN reference generator and sample statistics.
+"""Exact small-n FGN reference generator.
 
 The synthesizer in :mod:`fgn_toolkit.synth` is approximate by design, so
 tests need an independent source of truth.  Here the exact FGN covariance
 r(|i-j|) is Cholesky-factored and applied to i.i.d. standard normals,
 giving exact Gaussian FGN at O(n^3) cost; n is capped at 4096 to keep that
-affordable.  Factorizations are cached per (h, n).
+affordable.  Factorizations are cached per (h, n) and handed out
+read-only, since every caller shares the cached array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .spectrum import HurstParam, fgn_autocorrelation
 from .synth import Trace, TraceProvenance
 
-__all__ = [
-    "CovarianceFactor",
-    "covariance_factor",
-    "exact_fgn",
-    "sample_autocorrelation",
-]
+__all__ = ["covariance_factor", "exact_fgn"]
 
 _MAX_EXACT_N = 4096
-
-
-@dataclass(frozen=True)
-class CovarianceFactor:
-    """Lower-triangular L with L L^T equal to the FGN covariance matrix."""
-
-    n: int
-    lower_triangular: np.ndarray
 
 
 @lru_cache(maxsize=4)
 def _cached_factor(h_value: float, n: int) -> np.ndarray:
     h = HurstParam.permissive(h_value)
-    sigma = toeplitz(fgn_autocorrelation(h, np.arange(n)))
+    i = np.arange(n)
+    sigma = fgn_autocorrelation(h, i)[np.abs(i[:, None] - i)]
     try:
-        return np.linalg.cholesky(sigma)
+        factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:  # not expected for 0.5 <= h < 1
         raise RuntimeError(
             f"internal error: FGN covariance failed to factor for h={h_value}, n={n}"
         ) from exc
+    factor.setflags(write=False)
+    return factor
 
 
-def covariance_factor(h: HurstParam, n: int) -> CovarianceFactor:
-    """Cholesky factor of the n-by-n exact FGN covariance, 2 <= n <= 4096."""
+def covariance_factor(h: HurstParam, n: int) -> np.ndarray:
+    """Read-only Cholesky factor L (L L^T = exact FGN covariance), 2 <= n <= 4096."""
     n = int(n)
     if not 2 <= n <= _MAX_EXACT_N:
         raise ValueError(f"n must be in [2, {_MAX_EXACT_N}], got {n}")
-    return CovarianceFactor(n=n, lower_triangular=_cached_factor(h.h, n))
+    return _cached_factor(h.h, n)
 
 
 def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
     """Exact Gaussian FGN of length n via covariance factorization."""
     factor = covariance_factor(h, n)
-    values = factor.lower_triangular @ rng.standard_normal(factor.n)
+    values = factor @ rng.standard_normal(factor.shape[0])
     return Trace(values, TraceProvenance(h=h, seed=None, mode=None))
-
-
-def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation rho_hat(k) for k = 0..max_lag.
-
-    rho_hat(k) = sum (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2,
-    with max_lag < n/4 so every lag keeps a reasonable overlap.
-    """
-    max_lag = int(max_lag)
-    if max_lag < 0 or max_lag >= t.n / 4:
-        raise ValueError(f"max_lag must satisfy 0 <= max_lag < n/4, got {max_lag}")
-    centered = t.values - t.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
-        raise ValueError("degenerate (constant) trace")
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        out[k] = np.dot(centered[:-k], centered[k:]) / denom
-    return out

@@ -241,6 +241,7 @@ def _b_partial(lam: np.ndarray, h: float, n_terms: int) -> np.ndarray:
 
 def _b_truncated(lam: np.ndarray, h: float, k: int) -> np.ndarray:
     """First k terms plus the closed-form integral tail."""
+    # a 1-d loop on purpose: _b_partial's (terms, lam) broadcast is slower for few terms on long grids
     d = -2.0 * h - 1.0
     dprime = -2.0 * h
     out = np.zeros_like(lam)
@@ -258,7 +259,7 @@ def _b_truncated(lam: np.ndarray, h: float, k: int) -> np.ndarray:
 def _b_values(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
     if mode.kind == "partial":
         return _b_partial(lam, h, mode.terms)
-    out = _b_truncated(lam, h, 3 if mode.kind != "k" else mode.terms)
+    out = _b_truncated(lam, h, mode.terms)
     if mode.kind in ("prime", "doubleprime"):
         out = out - 2.0 ** (_PRIME_COEFF * h + _PRIME_OFFSET)
     if mode.kind == "doubleprime":

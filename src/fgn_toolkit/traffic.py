@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _EXP2_MAX_EXPONENT = 1000.0
+# Clamp fraction above which to_integer_counts warns and convert --strict fails.
 _CLAMP_WARN_FRACTION = 0.10
 # Counts are int64, so a rounded value must stay below 2**63.
 _MAX_COUNT = 2.0**63
@@ -55,7 +56,9 @@ class ArrivalTrace:
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        """Exact sum of the counts: summed in Python integers if int64 could wrap."""
+        wraps = self.counts.size and int(self.counts.max()) * self.counts.size >= 2**63
+        return int((self.counts.astype(object) if wraps else self.counts).sum())
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,9 @@ def counts_to_interarrivals(
         raise ValueError(f"spread must be 'uniform' or 'even', got {spread!r}")
     counts = a.counts
     width = a.bin_width
-    # A float64 sum cannot wrap around, and is exact up to 2**53.
-    float_total = float(counts.sum(dtype=np.float64))
-    if float_total > _MAX_ARRIVALS:
-        raise ValueError(
-            f"{float_total:.3g} arrivals exceed the limit of {_MAX_ARRIVALS} (2**31)"
-        )
     total = a.total
+    if total > _MAX_ARRIVALS:
+        raise ValueError(f"{total:.3g} arrivals exceed the limit of {_MAX_ARRIVALS} (2**31)")
     if total == 0:
         return InterarrivalSeq(np.empty(0))
     starts = np.repeat(np.arange(counts.size, dtype=float) * width, counts)

@@ -216,18 +216,31 @@ class TestConvert:
         counts = np.array([int(line) for line in out.read_text().split()])
         assert abs(counts.mean() - 500.0) <= 2.0
 
+    @pytest.mark.filterwarnings("error")
     def test_clamp_fraction_reported(self, tmp_path, capsys, rng):
         path, out = tmp_path / "t.txt", tmp_path / "c.txt"
         write_values(path, rng.standard_normal(512) - 5.0)
-        with pytest.warns(UserWarning):
-            assert run("convert", "--in", str(path), "--out", str(out)) == 0
-        assert "clamp_fraction=" in capsys.readouterr().err
+        assert run("convert", "--in", str(path), "--out", str(out)) == 0
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("clamp_fraction=")
 
-    def test_strict_clamp_exits_6(self, tmp_path, rng):
+    @pytest.mark.filterwarnings("error")
+    def test_strict_clamp_exits_6(self, tmp_path, capsys, rng):
         path, out = tmp_path / "t.txt", tmp_path / "c.txt"
         write_values(path, rng.standard_normal(512) - 5.0)
-        with pytest.warns(UserWarning):
-            assert run("convert", "--in", str(path), "--strict", "--out", str(out)) == 6
+        assert run("convert", "--in", str(path), "--strict", "--out", str(out)) == 6
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: clamp fraction")
+
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        write_values(path, [1.0, 2.0, 3.0, 4.0])
+        assert run("convert", "--in", str(path), "--emit", "interarrivals",
+                   "--spread", "uniform", "--seed", "-1", "--out", str(tmp_path / "ia.txt")) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == ["error: --seed must be nonnegative, got -1"]
 
     @pytest.mark.parametrize("peak,emit", [(70.0, "counts"), (50.0, "interarrivals")])
     def test_exp2_overflow_exits_4_with_one_line(self, tmp_path, capsys, peak, emit):
@@ -280,11 +293,14 @@ class TestSpectrumTable:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter that finds the package where this test found it
+    # fresh interpreters that find the package where this test found it;
+    # the package needs scipy.special only
     src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fgn_toolkit.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    for module in ("fgn_toolkit", "fgn_toolkit.cli"):
+        code = (f"import sys, {module}; "
+                "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "[]", module

@@ -22,28 +22,33 @@ from fgn_toolkit import (
 class TestCovarianceFactor:
     def test_reconstruction_error(self):
         h = HurstParam(0.8)
-        factor = covariance_factor(h, 256)
-        L = factor.lower_triangular
+        L = covariance_factor(h, 256)
         sigma = toeplitz(fgn_autocorrelation(h, np.arange(256)))
         assert np.abs(L @ L.T - sigma).max() <= 1e-8
 
     def test_lower_triangular_positive_diagonal(self):
-        L = covariance_factor(HurstParam(0.7), 64).lower_triangular
+        L = covariance_factor(HurstParam(0.7), 64)
         assert np.allclose(L, np.tril(L))
         assert np.all(np.diag(L) > 0)
 
     def test_white_noise_factor_is_identity(self):
-        L = covariance_factor(HurstParam.permissive(0.5), 32).lower_triangular
+        L = covariance_factor(HurstParam.permissive(0.5), 32)
         assert np.array_equal(L, np.eye(32))
 
     def test_two_by_two_by_hand(self):
         # r(1) = 0.5 * (2**1.4 - 2); L = [[1, 0], [r1, sqrt(1 - r1^2)]]
         r1 = 0.3195079107728942
-        L = covariance_factor(HurstParam(0.7), 2).lower_triangular
+        L = covariance_factor(HurstParam(0.7), 2)
         assert L[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert L[0, 1] == 0.0
         assert L[1, 0] == pytest.approx(r1, rel=1e-12)
         assert L[1, 1] == pytest.approx(np.sqrt(1 - r1**2), rel=1e-12)
+
+    def test_cached_factor_is_read_only(self):
+        L = covariance_factor(HurstParam(0.7), 16)
+        with pytest.raises(ValueError, match="read-only"):
+            L[0, 0] = 2.0
+        assert covariance_factor(HurstParam(0.7), 16)[0, 0] == 1.0
 
     @pytest.mark.parametrize("n", [1, 4097])
     def test_rejects_out_of_range_n(self, n):

@@ -100,6 +100,9 @@ class TestArrivalTraceValidation:
         with pytest.raises(ValueError):
             ArrivalTrace(np.array([1, 2]), 0.0)
 
+    def test_total_of_counts_overflowing_int64_is_exact(self):
+        assert ArrivalTrace(np.array([2**62] * 3), 1.0).total == 3 * 2**62
+
 
 class TestCountsToInterarrivals:
     def test_empty_bins_give_empty_sequence(self):
