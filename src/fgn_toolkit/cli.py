@@ -31,6 +31,10 @@ _EXIT_DEGENERATE = 4
 _EXIT_BOUNDARY = 5
 _EXIT_CLAMP = 6
 
+# Most points `spectrum` tabulates: at this size its partial:10000 reference
+# column already takes about 10 s, and far larger grids cannot be allocated.
+_MAX_GRID_STEPS = 65536
+
 
 class _UsageError(Exception):
     pass
@@ -225,6 +229,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         ) from None
     if steps < 1 or start <= 0 or stop > np.pi or start > stop:
         raise _UsageError("lambda grid must lie within (0, pi]")
+    if steps > _MAX_GRID_STEPS:
+        raise _UsageError(f"lambda grid steps must be at most {_MAX_GRID_STEPS}, got {steps}")
     lams = np.linspace(start, stop, steps)
     f_vals = np.atleast_1d(fgn_power_spectrum(h, lams, mode))
     b_vals = np.atleast_1d(spectrum_b(h, lams, mode))
@@ -290,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="tabulate the model spectrum and its error")
     p.add_argument("--hurst", required=True)
-    p.add_argument("--lambda-grid", default="0.01:3.0:11", help="start:stop:steps")
+    p.add_argument("--lambda-grid", default="0.01:3.0:11",
+                   help=f"start:stop:steps, at most {_MAX_GRID_STEPS} steps")
     p.add_argument("--mode", default="fast")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)

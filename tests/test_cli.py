@@ -291,6 +291,13 @@ class TestSpectrumTable:
         assert run("spectrum", "--hurst", "0.8", "--lambda-grid", "0.1:3.5:5") == 2
         assert run("spectrum", "--hurst", "0.8", "--lambda-grid", "oops") == 2
 
+    def test_oversized_grid_exits_2_with_one_line(self, capsys):
+        # 10^15 steps used to reach np.linspace and fail allocating 7 PiB
+        assert run("spectrum", "--hurst", "0.8",
+                   "--lambda-grid", "0.01:3:1000000000000000") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: lambda grid steps must be at most 65536, got 1000000000000000"]
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # fresh interpreters that find the package where this test found it;

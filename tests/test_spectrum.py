@@ -1,6 +1,7 @@
 """Spectrum math: autocorrelation, A and B factors, full spectrum, grids."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ def unrolled_six_term_b(lam, h):
     )
 
 
+def fourier_grid(n):
+    return 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
+
+
+def per_term_b(lam, h, n_terms):
+    """Raw partial sum written out one term at a time, in order j = 1..n_terms."""
+    d = -2.0 * h - 1.0
+    out = np.zeros_like(lam)
+    for j in range(1, n_terms + 1):
+        out += (2 * np.pi * j + lam) ** d + (2 * np.pi * j - lam) ** d
+    return out
+
+
 class TestSpectrumB:
     def test_truncated3_matches_hand_unrolled(self):
         lam = np.linspace(0.01, np.pi, 53)
@@ -198,6 +212,30 @@ class TestSpectrumB:
         for mode in (BMode.truncated(1), BMode.truncated(3), BMode.truncated_prime(),
                      BMode.truncated_double_prime(), BMode.partial(1), EXACT):
             assert np.all(spectrum_b(HurstParam(0.7), lam, mode) > 0)
+
+    def test_partial_is_elementwise(self):
+        # a value must not depend on how many other frequencies share the call
+        h = HurstParam(0.7)
+        lam = fourier_grid(2**18)
+        full = spectrum_b(h, lam, EXACT)
+        picks = np.random.default_rng(7).choice(lam.size, size=32, replace=False)
+        alone = np.array([spectrum_b(h, lam[i], EXACT) for i in picks])
+        assert np.array_equal(alone, full[picks])
+
+    @pytest.mark.parametrize("hval", [0.55, 0.8, 0.95])
+    def test_exact_mode_rounds_like_per_term_loop(self, hval):
+        # the acceptance battery's exact estimates depend on these bits;
+        # the sum must also stream rather than hold a (terms, lam) array
+        h = HurstParam(hval)
+        lam = fourier_grid(32768)
+        tracemalloc.start()
+        try:
+            got = spectrum_b(h, lam, EXACT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, per_term_b(lam, hval, 200))
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("lam", [0.0, -0.1, 3.2])
     def test_rejects_out_of_domain(self, lam):
