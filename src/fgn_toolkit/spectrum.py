@@ -289,9 +289,14 @@ def spectrum_b(h: HurstParam, lam, mode: BMode):
     return float(out[0]) if np.isscalar(lam) or larr.ndim == 0 else out
 
 
+def _spectrum_from_b(lam: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
+    """f(lam, h) = A(lam, h) (lam^(-2h-1) + B) from an already evaluated B."""
+    return _factor_a(lam, h) * (lam ** (-2.0 * h - 1.0) + b)
+
+
 def _power_spectrum_values(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
     """f(lam, h) on a validated array with a raw float h (no HurstParam)."""
-    return _factor_a(lam, h) * (lam ** (-2.0 * h - 1.0) + _b_values(lam, h, mode))
+    return _spectrum_from_b(lam, h, _b_values(lam, h, mode))
 
 
 def fgn_power_spectrum(h: HurstParam, lam, mode: BMode):

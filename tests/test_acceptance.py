@@ -263,10 +263,11 @@ def test_criterion_9_synthesis_speed():
 
 def test_fast_exact_sign_split(battery):
     # the fast mode carries a slight upward tilt, so among estimate pairs
-    # that differ at all, more than half must be positive.  With a single
-    # shared code path most pairs tie exactly (both golden-section searches
-    # take identical branches), so the historical 60/100 split over all
-    # pairs is not reproducible here; the direction is the testable claim.
+    # that differ at all, more than half must be positive.  Pairs pinned at
+    # the lower search boundary tie exactly (both Brent searches take the
+    # same steps there), and with one shared code path the historical 60/100
+    # split over all pairs is not reproducible; the direction is the
+    # testable claim.
     diffs = np.array(
         [battery["fast"][k].h_hat - battery["exact"][k].h_hat for k in battery["exact"]]
     )

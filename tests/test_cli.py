@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import fgn_toolkit
+from fgn_toolkit import cli
 from fgn_toolkit.cli import main
 from fgn_toolkit.traceio import read_trace, write_trace
-from fgn_toolkit import Trace
+from fgn_toolkit import BMode, HurstParam, Trace, fgn_power_spectrum
 
 
 def run(*argv):
@@ -137,6 +138,12 @@ class TestEstimate:
         path = tmp_path / "t.txt"
         write_values(path, rng.standard_normal(64))
         assert run("estimate", "--in", str(path), "--tol", "1e-9") == 2
+
+    def test_nan_tolerance_exits_2_with_one_line(self, tmp_path, rng, capsys):
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(64))
+        assert run("estimate", "--in", str(path), "--tol", "nan") == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --tol must be at least 1e-6, got nan"]
 
 
 class TestAnalyze:
@@ -279,6 +286,21 @@ class TestSpectrumTable:
     def test_doubleprime_error_tiny(self, capsys):
         err = self.grid_errors(capsys, "doubleprime")
         assert np.abs(err).max() <= 7.5e-5
+
+    @pytest.mark.parametrize("mode, b_sums", [("k:3", 2), ("partial:10000", 1)])
+    def test_b_evaluated_once_per_mode(self, capsys, monkeypatch, mode, b_sums):
+        # f is built from the B column, and partial:10000 is its own reference
+        calls = []
+        spectrum_b = cli.spectrum_b
+        monkeypatch.setattr(cli, "spectrum_b", lambda *a: calls.append(a) or spectrum_b(*a))
+        run("spectrum", "--hurst", "0.7", "--mode", mode, "--lambda-grid", "0.01:3.0:11")
+        assert len(calls) == b_sums
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in capsys.readouterr().out.splitlines()[1:]])
+        want_f = fgn_power_spectrum(HurstParam(0.7), rows[:, 0], BMode.parse(mode))
+        np.testing.assert_allclose(rows[:, 1], want_f, rtol=1e-9)
+        if mode == "partial:10000":
+            assert np.all(rows[:, 3] == 0)
 
     def test_csv_output_file(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -12,6 +12,7 @@ from fgn_toolkit import (
     whittle_objective,
     whittle_sigma,
 )
+from fgn_toolkit import estimate
 
 K3 = BMode.truncated(3)
 EXACT = BMode.partial(200)
@@ -122,6 +123,60 @@ class TestWhittleEstimate:
     def test_rejects_tiny_tolerance(self, rng):
         with pytest.raises(ValueError):
             whittle_estimate(Trace(rng.standard_normal(64)), K3, tol=1e-9)
+
+    def test_rejects_nan_tolerance(self, rng):
+        # no bracket width compares <= nan, so the search would never stop
+        with pytest.raises(ValueError):
+            whittle_estimate(Trace(rng.standard_normal(64)), K3, tol=float("nan"))
+
+    @pytest.mark.parametrize("mode", [K3, EXACT], ids=str)
+    @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
+    def test_lands_within_tol_of_dense_grid_argmin(self, synth_cache, h, mode):
+        # a 0.001 grid over the search interval, then a 1e-5 grid around its
+        # best point: the objective is unimodal in h, so that finds the argmin
+        t = synth_cache(h, 2048, 60)
+        p = periodogram(t)
+
+        def argmin(grid):
+            return grid[np.argmin([whittle_objective(p, HurstParam(g), mode) for g in grid])]
+
+        coarse = argmin(np.linspace(0.501, 0.999, 499))
+        fine = argmin(coarse + 1e-5 * np.arange(-100, 101))
+        res = whittle_estimate(t, mode, tol=0.001)
+        assert abs(res.h_hat - fine) <= 0.001 + 1e-5
+
+    @pytest.mark.parametrize("mode", [K3, EXACT], ids=str)
+    def test_objective_is_the_value_at_h_hat(self, synth_cache, mode):
+        t = synth_cache(0.7, 4096, 8)
+        res = whittle_estimate(t, mode)
+        assert res.objective == whittle_objective(periodogram(t), HurstParam(res.h_hat), mode)
+
+    @pytest.mark.parametrize("mode", [K3, EXACT], ids=str)
+    def test_few_evaluations_at_n_32768(self, synth_cache, mode):
+        # golden-section search needed 16 at the default tol = 0.001
+        res = whittle_estimate(synth_cache(0.8, 32768, 3), mode)
+        assert res.evaluations <= 12
+
+    def test_evaluations_counts_search_calls_only(self, synth_cache, monkeypatch):
+        # sigma_h does not go through _objective, so every call is the search's
+        calls = []
+        objective = estimate._objective
+        monkeypatch.setattr(
+            estimate, "_objective", lambda p, h, mode: calls.append(h) or objective(p, h, mode)
+        )
+        res = whittle_estimate(synth_cache(0.7, 4096, 8), K3)
+        assert res.evaluations == len(calls) == len(set(calls))
+        assert res.h_hat in calls
+
+    def test_antipersistent_input_flagged_at_boundary_in_exact_mode(self, rng):
+        # the best point evaluated stays inside the search interval
+        res = whittle_estimate(Trace(np.diff(rng.standard_normal(8193))), EXACT)
+        assert res.at_boundary
+        assert 0.501 < res.h_hat <= 0.502
+
+    def test_same_input_gives_identical_result(self, synth_cache):
+        t = synth_cache(0.7, 4096, 8)
+        assert whittle_estimate(t, EXACT) == whittle_estimate(t, EXACT)
 
     def test_tolerance_controls_bracket(self, synth_cache):
         t = synth_cache(0.7, 4096, 2)
