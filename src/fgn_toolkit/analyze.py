@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .synth import Trace
 
@@ -115,6 +114,8 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     row along the last axis is one sample: a 1-d input gives a float, a
     2-d one an array with one statistic per row.
     """
+    from scipy.special import ndtr  # here, so that importing the package skips scipy
+
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
     y = np.sort(x, axis=-1)
@@ -144,6 +145,8 @@ def qq_points(t: Trace) -> np.ndarray:
     Sample values are sorted and paired with standard-normal quantiles at
     plotting positions (i - 0.5)/n.
     """
+    from scipy.special import ndtri  # here, so that importing the package skips scipy
+
     if t.n < 2:
         raise ValueError("Q-Q plot needs at least 2 samples")
     theoretical = ndtri((np.arange(1, t.n + 1) - 0.5) / t.n)

@@ -9,6 +9,17 @@ process scale drops out), so its minimizer is scale-free and consistent.
 Normalizing by the arithmetic mean instead leaves an h-dependent tilt that
 drags the minimizer far below the true value for strong dependence.
 
+Because of that normalization, A's h-only factor 2 sin(pi h) Gamma(2h+1)
+cancels, and the objective needs only the shape
+s(lam, h) = (1 - cos lam) (lam^(-2h-1) + B(lam, h)).  An estimate builds
+one private workspace from its periodogram and reuses it in every
+evaluation.  It holds what depends on lam alone: the periodogram over
+1 - cos lam, the mean of log(1 - cos lam), log lam, and, for the truncated
+B modes, the logs of the summand arguments 2 pi j +- lam and the
+double-prime factor.  Powers are then taken as exp(e log x).  Each
+evaluation writes B, s, log s and the ratios into three buffers of
+len(lam) and allocates no array; the workspace is freed with the estimate.
+
 Minimization is Brent's bounded method on h in [0.501, 0.999] (Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 5): a
 parabola through the three best points so far proposes each step, and a
@@ -33,7 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import BMode, HurstParam, SpectrumGrid, _power_spectrum_values
+from .spectrum import (
+    BMode,
+    HurstParam,
+    SpectrumGrid,
+    _b_values,
+    _b_work,
+    _dprime_factor,
+    _power_of,
+    _power_spectrum_values,
+    _tail_logs,
+)
 from .synth import Trace
 
 __all__ = [
@@ -78,26 +99,56 @@ def periodogram(t: Trace) -> SpectrumGrid:
     return SpectrumGrid(lam, ords)
 
 
-def _normalized_spectrum(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
-    """Model spectrum scaled to geometric mean 1 over the given frequencies."""
-    f = _power_spectrum_values(lam, h, mode)
-    return f * np.exp(-np.mean(np.log(f)))
+class _Workspace:
+    """What every objective evaluation of one estimate reuses.
+
+    The objective is scale-free, so the model spectrum enters only as its
+    shape s = (1 - cos lam) (lam^(-2h-1) + B): A's h-only factor cancels in
+    the normalization.  Everything that depends on lam alone is taken once:
+    the periodogram over 1 - cos lam, the mean of log(1 - cos lam), log lam,
+    and B's lam-only factors under the mode (the logs of the tail arguments
+    and the double-prime factor).  An evaluation then writes into three
+    buffers of len(lam) and allocates no array.
+    """
+
+    def __init__(self, p: SpectrumGrid, mode: BMode) -> None:
+        lam = p.lambdas
+        omc = 1.0 - np.cos(lam)
+        self.lam = lam
+        self.scale = 2.0 * np.pi / p.n
+        self.ords_over_omc = p.values / omc
+        self.mean_log_omc = float(np.mean(np.log(omc)))
+        self.log_lam = np.log(lam)
+        self.logs = _tail_logs(lam, mode.terms) if mode.kind != "partial" else None
+        self.dprime = _dprime_factor(lam) if mode.kind == "doubleprime" else None
+        self.q = np.empty_like(lam)  # lam^(-2h-1) + B, so that s = (1 - cos lam) q
+        self.work = _b_work(lam.size)
 
 
-def _objective(p: SpectrumGrid, h: float, mode: BMode) -> float:
-    f_norm = _normalized_spectrum(p.lambdas, h, mode)
-    return 2.0 * np.pi / p.n * float(np.sum(p.values / f_norm))
+def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
+    """(2 pi / n) sum_j I_j / f_norm(lam_j, h), f_norm of geometric mean one.
+
+    ``mode`` is the one ``ws`` was built for.
+    """
+    q = _b_values(ws.lam, h, mode, ws.q, ws.work, ws.logs, ws.dprime)
+    t = ws.work[0, : q.size]
+    q += _power_of(ws.log_lam, -2.0 * h - 1.0, t)
+    mean_log_s = ws.mean_log_omc + float(np.mean(np.log(q, out=t)))
+    sum_ords_over_s = float(np.sum(np.divide(ws.ords_over_omc, q, out=t)))
+    return ws.scale * math.exp(mean_log_s) * sum_ords_over_s
 
 
 def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
     """Discretized ratio integral (2 pi / n) sum_j I(lam_j) / f_norm(lam_j, h)."""
-    return _objective(p, h.h, mode)
+    return _objective(_Workspace(p, mode), h.h, mode)
 
 
-def _brent_minimize(fun, a: float, b: float, tol: float) -> tuple[float, float, int]:
+def _brent_minimize(fun, a: float, b: float, tol: float):
     """Brent's bounded minimization of ``fun`` on [a, b].
 
-    Returns ``(x, fun(x), evaluations)`` for the best point evaluated.  Every
+    Returns ``(x, fun(x), evaluations, (a, b))`` for the best point evaluated
+    and the final bracket, whose ends are a and b exactly where no evaluation
+    moved them.  Every
     step is at least ``tol / 4`` long, and the loop stops once
     |x - m| <= tol / 2 - (b - a) / 2 for the bracket midpoint m, which
     implies b - a <= tol.
@@ -112,7 +163,7 @@ def _brent_minimize(fun, a: float, b: float, tol: float) -> tuple[float, float, 
     while True:
         xm = 0.5 * (a + b)
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return x, fx, evaluations
+            return x, fx, evaluations, (a, b)
         parabolic = False
         if abs(e) > tol1:
             # vertex of the parabola through (x, fx), (w, fw), (v, fv), as x + p / q
@@ -160,19 +211,21 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     the best h it evaluated, with the objective already computed there;
     ``evaluations`` counts the objective evaluations of the search (not
     those of sigma_h).  Runs are deterministic.  ``at_boundary`` is set
-    (never silently clamped) when the minimizer lands within ``tol`` of
-    either end of the search interval; that is the expected outcome for
-    white-noise-like input, whose true h sits at the 0.5 boundary.
+    (never silently clamped) when the search's final bracket still reaches
+    an end of the search interval, i.e. no evaluated point showed the
+    objective rising again beyond h_hat on that side; that is the expected
+    outcome for white-noise-like input, whose true h sits at the 0.5
+    boundary.  The objective's lam-only factors and work buffers are built
+    once per estimate (see ``_Workspace``) and freed with it.
     """
     if not tol >= 1e-6:  # also rejects nan, which would never end the search
         raise ValueError(f"tolerance must be at least 1e-6, got {tol}")
     if np.ptp(t.values) == 0.0:
         raise ValueError("degenerate (constant) trace")
-    p = periodogram(t)
-    h_hat, objective, evaluations = _brent_minimize(
-        lambda h: _objective(p, h, mode), _H_LO, _H_HI, tol
+    ws = _Workspace(periodogram(t), mode)
+    h_hat, objective, evaluations, bracket = _brent_minimize(
+        lambda h: _objective(ws, h, mode), _H_LO, _H_HI, tol
     )
-    at_boundary = (h_hat - _H_LO) <= tol or (_H_HI - h_hat) <= tol
     return WhittleResult(
         h_hat=h_hat,
         sigma_h=whittle_sigma(HurstParam(h_hat), t.n, mode),
@@ -180,7 +233,7 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
         mode=mode,
         n=t.n,
         evaluations=evaluations,
-        at_boundary=at_boundary,
+        at_boundary=bracket[0] == _H_LO or bracket[1] == _H_HI,
     )
 
 

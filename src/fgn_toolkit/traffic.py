@@ -71,7 +71,7 @@ class InterarrivalSeq:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1:
             raise ValueError("times must be a 1-d array")
-        if times.size and (times[0] < 0 or np.any(np.diff(times) <= 0)):
+        if times.size and (times[0] < 0 or np.any(times[1:] <= times[:-1])):
             raise ValueError("times must be nonnegative and strictly increasing")
         object.__setattr__(self, "times", times)
 
@@ -145,16 +145,22 @@ def counts_to_interarrivals(
     if spread == "uniform":
         if rng is None:
             raise ValueError("uniform spreading needs a random generator")
-        times = starts + width * rng.random(total)
+        times = rng.random(total)
+        times *= width
+        times += starts
         # Bins are half-open and disjoint, so a global sort equals per-bin sorts.
-        times = np.sort(times)
-        if np.any(np.diff(times) <= 0.0):
+        times.sort()
+        if np.any(times[1:] <= times[:-1]):
             # ties have probability ~0; the scalar sweep handles cascades
             for i in range(1, times.size):
                 if times[i] <= times[i - 1]:
                     times[i] = np.nextafter(times[i - 1], np.inf)
     else:
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        per_event_count = np.repeat(counts, counts).astype(float)
-        times = starts + (within + 0.5) * width / per_event_count
+        # index of each event within its bin, exact in float64 below 2**53
+        times = np.arange(total, dtype=float)
+        times -= np.repeat((np.cumsum(counts) - counts).astype(float), counts)
+        times += 0.5
+        times *= width
+        times /= np.repeat(counts.astype(float), counts)
+        times += starts
     return InterarrivalSeq(times)

@@ -114,6 +114,18 @@ class TestEstimate:
         assert "h_hat=0.501" in captured.out
         assert "boundary" in captured.err
 
+    def test_coarse_tolerance_does_not_flag_interior_estimate(self, tmp_path, capsys):
+        # the flag follows the search's final bracket, not how close h_hat
+        # is to an end: at tol 0.3 an h = 0.7 estimate is still interior
+        path = tmp_path / "t.txt"
+        assert run("synth", "--n", "4096", "--hurst", "0.7", "--seed", "3",
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run("estimate", "--in", str(path), "--tol", "0.3") == 0
+        captured = capsys.readouterr()
+        assert "h_hat=0.69" in captured.out
+        assert captured.err == ""
+
     def test_constant_trace_exits_4(self, tmp_path):
         path = tmp_path / "c.txt"
         write_values(path, np.full(64, 3.0))
@@ -333,3 +345,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout.strip() == "[]", module
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported inside the A^2 and Q-Q functions only, so
+    # synth, estimate, convert and spectrum never pay for it
+    src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fgn_toolkit.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Periodogram and Whittle estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fgn_toolkit import (
     BMode,
     HurstParam,
     Trace,
+    fgn_power_spectrum,
     periodogram,
     whittle_estimate,
     whittle_objective,
@@ -16,6 +19,7 @@ from fgn_toolkit import estimate
 
 K3 = BMode.truncated(3)
 EXACT = BMode.partial(200)
+FAST = BMode.truncated_double_prime()
 
 
 class TestPeriodogram:
@@ -71,6 +75,19 @@ class TestWhittleObjective:
             g = whittle_objective(p, HurstParam(hval), K3)
             assert np.isfinite(g) and g > 0
 
+    @pytest.mark.parametrize("mode", [K3, EXACT, FAST], ids=str)
+    def test_matches_normalized_spectrum_formula(self, synth_cache, mode):
+        # the objective drops A's h-only factor and takes powers as
+        # exp(e log x); against f scaled to geometric mean one it may only
+        # differ by rounding
+        p = periodogram(synth_cache(0.7, 8192, 6))
+        for hval in (0.55, 0.7, 0.9):
+            f = fgn_power_spectrum(HurstParam(hval), p.lambdas, mode)
+            f_norm = f * np.exp(-np.mean(np.log(f)))
+            want = 2.0 * np.pi / p.n * np.sum(p.values / f_norm)
+            got = whittle_objective(p, HurstParam(hval), mode)
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_mode_sandwich_brackets_reference(self, synth_cache):
         # the k=3 truncation overshoots B and the 200-term sum undershoots
         # it, so their objectives bracket the near-exact objective in h
@@ -82,6 +99,47 @@ class TestWhittleObjective:
             g_ref = whittle_objective(p, h, BMode.partial(10000))
             lo, hi = min(g3, g200), max(g3, g200)
             assert lo - 1e-9 * g_ref <= g_ref <= hi + 1e-9 * g_ref
+
+
+class TestWorkspace:
+    """The per-estimate workspace that every objective evaluation reuses."""
+
+    @pytest.mark.parametrize("mode", [K3, EXACT, BMode.truncated_prime(), FAST], ids=str)
+    def test_reused_workspace_equals_whittle_objective(self, synth_cache, mode):
+        # whittle_objective builds a fresh workspace per call; one workspace
+        # evaluated at h after h in its reused buffers must give the same bits
+        p = periodogram(synth_cache(0.7, 4096, 8))
+        ws = estimate._Workspace(p, mode)
+        for hval in (0.9, 0.55, 0.7, 0.501, 0.999, 0.7):
+            got = estimate._objective(ws, hval, mode)
+            assert got == whittle_objective(p, HurstParam(hval), mode)
+
+    @pytest.mark.parametrize("mode", [FAST, EXACT], ids=str)
+    def test_evaluation_allocates_no_grid_array(self, synth_cache, mode):
+        p = periodogram(synth_cache(0.7, 2**16, 4))
+        ws = estimate._Workspace(p, mode)
+        tracemalloc.start()
+        try:
+            for hval in (0.6, 0.7, 0.8):
+                estimate._objective(ws, hval, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.lambdas.nbytes // 16
+
+    def test_fast_estimate_peak_memory(self, synth_cache):
+        # the fast-mode workspace holds 15 arrays of len(lam): the periodogram
+        # over 1 - cos lam, log lam, 8 tail logs, the double-prime factor,
+        # lam and 3 buffers; the periodogram and set-up add 2 more at peak
+        t = synth_cache(0.7, 2**16, 4)
+        grid_bytes = 8 * (t.n // 2)
+        tracemalloc.start()
+        try:
+            whittle_estimate(t, FAST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * grid_bytes
 
 
 class TestWhittleEstimate:

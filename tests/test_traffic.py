@@ -135,6 +135,22 @@ class TestCountsToInterarrivals:
         seq = counts_to_interarrivals(ArrivalTrace(counts, 1.0), spread, rng=rng)
         assert np.all(np.diff(seq.times) > 0)
 
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_same_bits_as_out_of_place_formula(self, spread):
+        # the spreads work in place; each value must round exactly as the
+        # plain out-of-place expressions below round it
+        counts = make_rng(11).integers(0, 40, size=3000)
+        counts[::7] = 0
+        a = ArrivalTrace(counts, 0.37)
+        starts = np.repeat(np.arange(counts.size, dtype=float) * 0.37, counts)
+        if spread == "uniform":
+            want = np.sort(starts + 0.37 * make_rng(5).random(int(counts.sum())))
+        else:
+            within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            want = starts + (within + 0.5) * 0.37 / np.repeat(counts, counts).astype(float)
+        got = counts_to_interarrivals(a, spread, rng=make_rng(5)).times
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("counts", [[2**50], [2**62, 2**62, 2**62]])
     def test_rejects_huge_total_before_allocating(self, counts):
         # the second total wraps around to a negative int64 sum
