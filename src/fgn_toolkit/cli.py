@@ -21,7 +21,7 @@ from . import analyze, traffic
 from .estimate import whittle_estimate
 from .spectrum import NEAR_EXACT, BMode, HurstParam, _spectrum_from_b, spectrum_b
 from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
-from .traceio import FORMATS, read_trace, write_trace
+from .traceio import FORMATS, _write_lines, read_trace, write_trace
 
 __all__ = ["main"]
 
@@ -135,26 +135,21 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv_lines(header: str, rows):
-    yield header
-    for row in rows:
-        yield ",".join(f"{v:.10g}" for v in row)
-
-
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _write_csv(path: str | None, header: str, *columns) -> None:
+    """One CSV row per index of ``columns``, 10 significant digits per field."""
+    fmt = ",".join(["{:.10g}"] * len(columns))
+    _write_lines(path, [header], np.column_stack(columns), fmt)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.what == "acf" and args.max_lag < 1:
+        raise _UsageError(f"--max-lag must be at least 1, got {args.max_lag}")
     trace = _load_trace(args.infile, args.format)
     try:
         if args.what == "vt":
             curve = analyze.variance_time_curve(trace)
             if args.out:
-                rows = zip(curve.m_levels, curve.norm_vars)
-                _write_lines(args.out, _csv_lines("m,norm_var", rows))
+                _write_csv(args.out, "m,norm_var", curve.m_levels, curve.norm_vars)
             print(f"implied_h={curve.implied_h:.4f} slope={curve.fitted_slope:.4f}")
         elif args.what == "normality":
             report = analyze.ad_normality_test(trace)
@@ -163,13 +158,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         elif args.what == "qq":
             points = analyze.qq_points(trace)
             if args.out:
-                _write_lines(args.out, _csv_lines("theoretical,sample", points))
+                _write_csv(args.out, "theoretical,sample", points[:, 0], points[:, 1])
             r = np.corrcoef(points[:, 0], points[:, 1])[0, 1]
             print(f"qq_r2={r * r:.6f} n={trace.n}")
         else:  # acf
             rho = analyze.sample_autocorrelation(trace, args.max_lag)
             if args.out:
-                _write_lines(args.out, _csv_lines("lag,rho", enumerate(rho)))
+                _write_csv(args.out, "lag,rho", np.arange(rho.size), rho)
             print(f"rho1={rho[1]:.4f} max_lag={args.max_lag}")
     except ValueError as exc:
         raise _DegenerateTrace(str(exc)) from None
@@ -203,7 +198,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     note = f" (above {limit:.0%}: a Gaussian count model fits poorly)" if fraction > limit else ""
     print(f"clamp_fraction={fraction:.4f}{note}", file=sys.stderr)
     if args.emit == "counts":
-        lines = (str(c) for c in arrivals.counts)
+        values, fmt = arrivals.counts, "{}"
     else:
         rng = None if seed is None else make_rng(seed)
         try:
@@ -212,8 +207,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             raise _DegenerateTrace(str(exc)) from None
         if seed is not None:
             _report_drawn_seed(args.seed, seed)
-        lines = (f"{t:.17g}" for t in seq.times)
-    _write_lines(args.out, lines)
+        values, fmt = seq.times, "{:.17g}"
+    _write_lines(args.out, [], values, fmt)
     return 0
 
 
@@ -236,11 +231,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     f_vals = _spectrum_from_b(lams, h.h, b_vals)
     b_ref = b_vals if mode == NEAR_EXACT else np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
     rel_err = (b_vals - b_ref) / b_ref
-    lines = _csv_lines("lambda,f,B,rel_err_vs_partial10000", zip(lams, f_vals, b_vals, rel_err))
-    if args.out:
-        _write_lines(args.out, lines)
-    else:
-        print("\n".join(lines))
+    _write_csv(args.out, "lambda,f,B,rel_err_vs_partial10000", lams, f_vals, b_vals, rel_err)
     return 0
 
 
@@ -273,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--what", choices=("vt", "normality", "qq", "acf"), required=True)
     p.add_argument("--out", default=None, help="CSV output path (vt, qq, acf)")
-    p.add_argument("--max-lag", type=int, default=50)
+    p.add_argument("--max-lag", type=int, default=50,
+                   help="largest ACF lag, at least 1; a lag of n/4 or more exits 4")
     p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=_cmd_analyze)
 

@@ -11,14 +11,13 @@ drags the minimizer far below the true value for strong dependence.
 
 Because of that normalization, A's h-only factor 2 sin(pi h) Gamma(2h+1)
 cancels, and the objective needs only the shape
-s(lam, h) = (1 - cos lam) (lam^(-2h-1) + B(lam, h)).  An estimate builds
-one private workspace from its periodogram and reuses it in every
-evaluation.  It holds what depends on lam alone: the periodogram over
-1 - cos lam, the mean of log(1 - cos lam), log lam, and, for the truncated
-B modes, the logs of the summand arguments 2 pi j +- lam and the
-double-prime factor.  Powers are then taken as exp(e log x).  Each
-evaluation writes B, s, log s and the ratios into three buffers of
-len(lam) and allocates no array; the workspace is freed with the estimate.
+s(lam, h) = (1 - cos lam) q(lam, h) with q = lam^(-2h-1) + B(lam, h).  An
+estimate builds one private workspace from its periodogram and reuses it
+in every evaluation: the periodogram over 1 - cos lam, the mean of
+log(1 - cos lam), and a ``spectrum._Shape`` that holds q's lam-only
+factors under the B mode.  Each evaluation writes q, log s and the ratios
+into buffers of len(lam) and allocates no array; the workspace is freed
+with the estimate.
 
 Minimization is Brent's bounded method on h in [0.501, 0.999] (Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 5): a
@@ -34,7 +33,9 @@ standard deviation sigma_h comes from the asymptotic variance
 
 evaluated with a central finite difference (step 1e-4) and the trapezoid
 rule on 2048 points spanning (0, pi] (doubled by symmetry), using the same
-geometric-mean-normalized spectrum.
+geometric-mean-normalized spectrum.  That is taken from centred log q:
+log f - log q = log A, whose h-only part the centring removes and whose
+lam-only part log(1 - cos omega) the h-derivative removes.
 """
 
 from __future__ import annotations
@@ -44,17 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (
-    BMode,
-    HurstParam,
-    SpectrumGrid,
-    _b_values,
-    _b_work,
-    _dprime_factor,
-    _power_of,
-    _power_spectrum_values,
-    _tail_logs,
-)
+from .spectrum import BMode, HurstParam, SpectrumGrid, _Shape
 from .synth import Trace
 
 __all__ = [
@@ -103,26 +94,21 @@ class _Workspace:
     """What every objective evaluation of one estimate reuses.
 
     The objective is scale-free, so the model spectrum enters only as its
-    shape s = (1 - cos lam) (lam^(-2h-1) + B): A's h-only factor cancels in
-    the normalization.  Everything that depends on lam alone is taken once:
-    the periodogram over 1 - cos lam, the mean of log(1 - cos lam), log lam,
-    and B's lam-only factors under the mode (the logs of the tail arguments
-    and the double-prime factor).  An evaluation then writes into three
-    buffers of len(lam) and allocates no array.
+    shape s = (1 - cos lam) q with q = lam^(-2h-1) + B: A's h-only factor
+    cancels in the normalization.  The periodogram side is taken once (the
+    periodogram over 1 - cos lam and the mean of log(1 - cos lam)), and a
+    ``_Shape`` holds q's lam-only factors under the mode.  An evaluation
+    writes q into ``q`` and uses the shape's scratch row, and allocates no
+    array.
     """
 
     def __init__(self, p: SpectrumGrid, mode: BMode) -> None:
-        lam = p.lambdas
-        omc = 1.0 - np.cos(lam)
-        self.lam = lam
+        omc = _Shape.one_minus_cos(p.lambdas)
         self.scale = 2.0 * np.pi / p.n
         self.ords_over_omc = p.values / omc
         self.mean_log_omc = float(np.mean(np.log(omc)))
-        self.log_lam = np.log(lam)
-        self.logs = _tail_logs(lam, mode.terms) if mode.kind != "partial" else None
-        self.dprime = _dprime_factor(lam) if mode.kind == "doubleprime" else None
-        self.q = np.empty_like(lam)  # lam^(-2h-1) + B, so that s = (1 - cos lam) q
-        self.work = _b_work(lam.size)
+        self.shape = _Shape(p.lambdas, mode)
+        self.q = np.empty_like(p.lambdas)
 
 
 def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
@@ -130,9 +116,8 @@ def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
 
     ``mode`` is the one ``ws`` was built for.
     """
-    q = _b_values(ws.lam, h, mode, ws.q, ws.work, ws.logs, ws.dprime)
-    t = ws.work[0, : q.size]
-    q += _power_of(ws.log_lam, -2.0 * h - 1.0, t)
+    q = ws.shape.q(h, ws.q)
+    t = ws.shape.scratch
     mean_log_s = ws.mean_log_omc + float(np.mean(np.log(q, out=t)))
     sum_ords_over_s = float(np.sum(np.divide(ws.ords_over_omc, q, out=t)))
     return ws.scale * math.exp(mean_log_s) * sum_ords_over_s
@@ -242,12 +227,13 @@ def whittle_sigma(h: HurstParam, n: int, mode: BMode) -> float:
     if n < 4:
         raise ValueError("n must be at least 4")
     omega = np.pi * np.arange(1, _SIGMA_GRID_POINTS + 1, dtype=float) / _SIGMA_GRID_POINTS
+    shape = _Shape(omega, mode)
 
-    def centered_log_f(hh: float) -> np.ndarray:
-        log_f = np.log(_power_spectrum_values(omega, hh, mode))
-        return log_f - log_f.mean()
+    def centered_log_q(hh: float) -> np.ndarray:
+        log_q = np.log(shape.q(hh, np.empty_like(omega)))
+        return log_q - log_q.mean()
 
     step = _SIGMA_FD_STEP
-    deriv = (centered_log_f(h.h + step) - centered_log_f(h.h - step)) / (2.0 * step)
+    deriv = (centered_log_q(h.h + step) - centered_log_q(h.h - step)) / (2.0 * step)
     integral = 2.0 * np.trapezoid(deriv**2, omega)
     return float(np.sqrt(4.0 * np.pi / (n * integral)))

@@ -10,7 +10,9 @@ with
     A(lam, h) = 2 sin(pi h) Gamma(2h + 1) (1 - cos lam)
     B(lam, h) = sum_{j>=1} (2 pi j + lam)**(-2h-1) + (2 pi j - lam)**(-2h-1)
 
-B has no known closed form.  This module evaluates it four ways:
+B is a sum of two Hurwitz zeta functions,
+B = (2 pi)^-(2h+1) [zeta(2h+1, 1 + lam/2pi) + zeta(2h+1, 1 - lam/2pi)]
+(DLMF 25.11), but this package evaluates truncations of the sum, four ways:
 
 * ``BMode.partial(N)``: the raw sum truncated after N terms.  Always an
   underestimate (all terms are positive).  ``partial(200)`` is the
@@ -26,8 +28,7 @@ B has no known closed form.  This module evaluates it four ways:
   where a_j = 2 pi j + lam, b_j = 2 pi j - lam, d = -2h - 1, d' = -2h.
   This slightly overestimates B; for k = 3 the relative error stays
   below 0.5% over h in [0.5, 0.9].  Each power is taken as
-  exp(e log x) from the logs of a_j and b_j, j = 1..k+1, which depend on
-  lam only, so a caller evaluating many h on one grid takes them once.
+  exp(e log x) from the logs of a_j and b_j, j = 1..k+1.
 * ``BMode.truncated_prime()``: the k = 3 truncation minus a fitted
   h-dependent bias term, cutting the error to about 0.025%.
 * ``BMode.truncated_double_prime()``: additionally applies a fitted
@@ -35,8 +36,12 @@ B has no known closed form.  This module evaluates it four ways:
 
 All evaluators are vectorized over ``lam`` and elementwise: the value at
 one lam is the same whether it is evaluated alone or inside any grid.
-They write into buffers the caller may pass, so the Whittle search
-evaluates B without allocating.
+
+The private ``_Shape(lam, mode)`` is the only way into B.  It takes the
+lam-only factors once (log lam; the tail logs and the double-prime factor,
+or the term column and block size of a partial sum) and then writes B, or
+q = lam^(-2h-1) + B with the power as exp(e log lam), for any h.  1 - cos lam
+is taken as 2 sin^2(lam/2), exact to the last bits at the lowest frequencies.
 """
 
 from __future__ import annotations
@@ -229,56 +234,7 @@ def spectrum_factor_a(h: HurstParam, lam):
 
 
 def _factor_a(lam: np.ndarray, h: float) -> np.ndarray:
-    return 2.0 * np.sin(np.pi * h) * math.gamma(2.0 * h + 1.0) * (1.0 - np.cos(lam))
-
-
-def _b_work(size: int) -> np.ndarray:
-    """Two work buffers for B on ``size`` frequencies, room for a partial-sum block each."""
-    return np.empty((2, max(size, _BLOCK_ELEMENTS)))
-
-
-def _b_partial(lam: np.ndarray, h: float, n_terms: int, out: np.ndarray, work: np.ndarray):
-    """Raw partial sum of B into ``out``, adding the terms at each lam in order j = 1..n_terms.
-
-    The order is strict whatever the grid length or block size, so each
-    value depends on its own lam, h and n_terms only.  A block is as many
-    rows j as fit in a row of ``work``.
-    """
-    d = -2.0 * h - 1.0
-    rows = min(n_terms, work.shape[1] // max(lam.size, 1))
-    block = work[:, : rows * lam.size].reshape(2, rows, lam.size)
-    tp_all = 2.0 * np.pi * np.arange(1, n_terms + 1, dtype=float)[:, None]
-    out.fill(0.0)
-    for j0 in range(0, n_terms, rows):
-        tp = tp_all[j0 : j0 + rows]
-        terms, minus = block[:, : tp.shape[0]]
-        np.power(np.add(tp, lam, out=terms), d, out=terms)
-        np.power(np.subtract(tp, lam, out=minus), d, out=minus)
-        terms += minus
-        if rows == 1:  # one term per block: add it to the running sum
-            out += terms[0]
-            continue
-        terms[0] += out  # carry the running sum in as the block's first addend
-        # add.reduce sums the rows of a block in order, but a lone column
-        # pairwise; cumsum keeps a lone column in order.
-        if lam.size > 1:
-            np.add.reduce(terms, axis=0, out=out)
-        else:
-            out[:] = np.cumsum(terms, axis=0)[-1]
-    return out
-
-
-def _tail_logs(lam: np.ndarray, k: int) -> np.ndarray:
-    """log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1, shape (2, k+1, len(lam)).
-
-    The truncated modes need only these logs of the summand arguments: a
-    caller that evaluates B at many h on one grid takes them once.
-    """
-    logs = np.empty((2, k + 1, lam.size))
-    for j in range(1, k + 2):
-        np.log(np.add(2.0 * np.pi * j, lam, out=logs[0, j - 1]), out=logs[0, j - 1])
-        np.log(np.subtract(2.0 * np.pi * j, lam, out=logs[1, j - 1]), out=logs[1, j - 1])
-    return logs
+    return 2.0 * np.sin(np.pi * h) * math.gamma(2.0 * h + 1.0) * _Shape.one_minus_cos(lam)
 
 
 def _power_of(log_x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
@@ -286,79 +242,124 @@ def _power_of(log_x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
     return np.exp(np.multiply(log_x, e, out=out), out=out)
 
 
-def _b_truncated(logs: np.ndarray, h: float, out: np.ndarray, work: np.ndarray):
-    """First k terms plus the closed-form integral tail into ``out``, from ``_tail_logs(lam, k)``."""
-    k = logs.shape[1] - 1
-    d = -2.0 * h - 1.0
-    dprime = -2.0 * h
-    plus, minus = logs
-    t, u = work[:, : out.size]
-    out.fill(0.0)
-    for j in range(k):
-        _power_of(plus[j], d, t)
-        t += _power_of(minus[j], d, u)
-        out += t
-    _power_of(plus[k - 1], dprime, t)
-    for log_x in (plus[k], minus[k - 1], minus[k]):
-        t += _power_of(log_x, dprime, u)
-    t /= 8.0 * h * np.pi
-    out += t
-    return out
+def _plus_power(log_lam: np.ndarray, h: float, b: np.ndarray, scratch: np.ndarray):
+    """q = lam^(-2h-1) + B in place of ``b``: the one place q is formed."""
+    b += _power_of(log_lam, -2.0 * h - 1.0, scratch)
+    return b
 
 
-def _b_values(
-    lam: np.ndarray,
-    h: float,
-    mode: BMode,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-    logs: np.ndarray | None = None,
-    dprime: np.ndarray | None = None,
-) -> np.ndarray:
-    """B under ``mode``, in place when the caller passes ``out`` and ``work``.
+class _Shape:
+    """q(lam, h) = lam^(-2h-1) + B(lam, h) on one grid under one B mode; f = A q.
 
-    ``logs`` (``_tail_logs``) and ``dprime`` (``_dprime_factor``) are the
-    lam-only factors of the truncated modes; they are computed here unless
-    the caller has hoisted them.
+    The lam-only factors are taken once (see the module docstring); ``b``
+    and ``q`` then write into a caller's buffer of len(lam) for any h without
+    allocating.  Between calls ``scratch`` (len(lam)) is free for the caller.
+    No other code branches on the kind of a B mode.
     """
-    out = np.empty_like(lam) if out is None else out
-    work = _b_work(lam.size) if work is None else work
-    if mode.kind == "partial":
-        return _b_partial(lam, h, mode.terms, out, work)
-    _b_truncated(_tail_logs(lam, mode.terms) if logs is None else logs, h, out, work)
-    if mode.kind in ("prime", "doubleprime"):
-        out -= 2.0 ** (_PRIME_COEFF * h + _PRIME_OFFSET)
-    if mode.kind == "doubleprime":
-        out *= _dprime_factor(lam) if dprime is None else dprime
-    return out
+
+    def __init__(self, lam: np.ndarray, mode: BMode) -> None:
+        self.lam = lam
+        self.mode = mode
+        self.log_lam = np.log(lam)
+        # two work rows, each with room for a partial-sum block or a grid array
+        self.work = np.empty((2, max(lam.size, _BLOCK_ELEMENTS)))
+        self.scratch = self.work[0, : lam.size]
+        if mode.kind == "partial":
+            self.rows = min(mode.terms, self.work.shape[1] // max(lam.size, 1))
+            self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)[:, None]
+        else:  # log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1
+            plus, minus = self.logs = np.empty((2, mode.terms + 1, lam.size))
+            for j, tp in enumerate(2.0 * np.pi * np.arange(1, mode.terms + 2)):
+                np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
+                np.log(np.subtract(tp, lam, out=minus[j]), out=minus[j])
+        self.dprime = _DPRIME_K1 + _DPRIME_K2 * lam if mode.kind == "doubleprime" else None
+
+    @staticmethod
+    def one_minus_cos(lam: np.ndarray) -> np.ndarray:
+        """1 - cos lam as 2 sin^2(lam / 2), which does not cancel at small lam."""
+        s = np.sin(0.5 * lam)
+        return 2.0 * s * s
+
+    def q(self, h: float, out: np.ndarray) -> np.ndarray:
+        """lam^(-2h-1) + B(lam, h) into ``out``."""
+        return _plus_power(self.log_lam, h, self.b(h, out), self.scratch)
+
+    def b(self, h: float, out: np.ndarray) -> np.ndarray:
+        """B(lam, h) into ``out``."""
+        if self.mode.kind == "partial":
+            return self._partial(h, out)
+        self._truncated(h, out)
+        if self.mode.kind != "k":  # the corrected k = 3 modes
+            out -= 2.0 ** (_PRIME_COEFF * h + _PRIME_OFFSET)
+        if self.dprime is not None:
+            out *= self.dprime
+        return out
+
+    def _partial(self, h: float, out: np.ndarray) -> np.ndarray:
+        """Raw partial sum, adding the terms at each lam in order j = 1..N.
+
+        The order is strict whatever the grid length or block size, so each
+        value depends on its own lam, h and N only.  A block is as many rows
+        j as fit in a work row.
+        """
+        lam, rows, d = self.lam, self.rows, -2.0 * h - 1.0
+        block = self.work[:, : rows * lam.size].reshape(2, rows, lam.size)
+        out.fill(0.0)
+        for j0 in range(0, self.mode.terms, rows):
+            tp = self.tp[j0 : j0 + rows]
+            terms, minus = block[:, : tp.shape[0]]
+            np.power(np.add(tp, lam, out=terms), d, out=terms)
+            np.power(np.subtract(tp, lam, out=minus), d, out=minus)
+            terms += minus
+            if rows == 1:  # one term per block: add it to the running sum
+                out += terms[0]
+                continue
+            terms[0] += out  # carry the running sum in as the block's first addend
+            # add.reduce sums the rows of a block in order, but a lone column
+            # pairwise; cumsum keeps a lone column in order.
+            if lam.size > 1:
+                np.add.reduce(terms, axis=0, out=out)
+            else:
+                out[:] = np.cumsum(terms, axis=0)[-1]
+        return out
+
+    def _truncated(self, h: float, out: np.ndarray) -> np.ndarray:
+        """First k terms plus the closed-form integral tail, powers as exp(e log x)."""
+        k = self.mode.terms
+        d = -2.0 * h - 1.0
+        dprime = -2.0 * h
+        plus, minus = self.logs
+        t, u = self.work[:, : out.size]
+        out.fill(0.0)
+        for j in range(k):
+            _power_of(plus[j], d, t)
+            t += _power_of(minus[j], d, u)
+            out += t
+        _power_of(plus[k - 1], dprime, t)
+        for log_x in (plus[k], minus[k - 1], minus[k]):
+            t += _power_of(log_x, dprime, u)
+        t /= 8.0 * h * np.pi
+        out += t
+        return out
 
 
-def _dprime_factor(lam: np.ndarray) -> np.ndarray:
-    """The double-prime mode's linear-in-lam factor."""
-    return _DPRIME_K1 + _DPRIME_K2 * lam
-
-
-def _check_open_domain(lam: np.ndarray) -> None:
-    if np.any(lam <= 0) or np.any(lam > np.pi):
+def _on_open_domain(lam, values):
+    """``values`` of lam as a 1-d array, lam checked to lie in (0, pi]; a float for scalar lam."""
+    larr = np.asarray(lam, dtype=float)
+    if np.any(larr <= 0) or np.any(larr > np.pi):
         raise ValueError("lambda must lie in (0, pi]")
+    out = values(np.atleast_1d(larr))
+    return float(out[0]) if np.isscalar(lam) or larr.ndim == 0 else out
 
 
 def spectrum_b(h: HurstParam, lam, mode: BMode):
     """Evaluate the infinite-sum component B(lam, h) under the given mode."""
-    larr = np.asarray(lam, dtype=float)
-    _check_open_domain(larr)
-    out = _b_values(np.atleast_1d(larr), h.h, mode)
-    return float(out[0]) if np.isscalar(lam) or larr.ndim == 0 else out
+    return _on_open_domain(lam, lambda x: _Shape(x, mode).b(h.h, np.empty_like(x)))
 
 
 def _spectrum_from_b(lam: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
     """f(lam, h) = A(lam, h) (lam^(-2h-1) + B) from an already evaluated B."""
-    return _factor_a(lam, h) * (lam ** (-2.0 * h - 1.0) + b)
-
-
-def _power_spectrum_values(lam: np.ndarray, h: float, mode: BMode) -> np.ndarray:
-    """f(lam, h) on a validated array with a raw float h (no HurstParam)."""
-    return _spectrum_from_b(lam, h, _b_values(lam, h, mode))
+    return _factor_a(lam, h) * _plus_power(np.log(lam), h, b.copy(), np.empty_like(lam))
 
 
 def fgn_power_spectrum(h: HurstParam, lam, mode: BMode):
@@ -369,10 +370,9 @@ def fgn_power_spectrum(h: HurstParam, lam, mode: BMode):
     the decrease between adjacent points near pi can fall below double
     precision resolution for the truncated modes.
     """
-    larr = np.asarray(lam, dtype=float)
-    _check_open_domain(larr)
-    out = _power_spectrum_values(np.atleast_1d(larr), h.h, mode)
-    return float(out[0]) if np.isscalar(lam) or larr.ndim == 0 else out
+    return _on_open_domain(
+        lam, lambda x: _factor_a(x, h.h) * _Shape(x, mode).q(h.h, np.empty_like(x))
+    )
 
 
 def build_spectrum_grid(h: HurstParam, n: int, mode: BMode) -> SpectrumGrid:
@@ -385,4 +385,4 @@ def build_spectrum_grid(h: HurstParam, n: int, mode: BMode) -> SpectrumGrid:
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be a positive even integer, got {n}")
     lam = 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
-    return SpectrumGrid(lam, _power_spectrum_values(lam, h.h, mode))
+    return SpectrumGrid(lam, fgn_power_spectrum(h, lam, mode))

@@ -12,7 +12,10 @@ Raw traces are little-endian IEEE-754 binary64 values with no header.
 
 from __future__ import annotations
 
+import sys
 import warnings
+from contextlib import nullcontext
+from itertools import starmap
 
 import numpy as np
 
@@ -28,6 +31,24 @@ FORMATS = ("text", "rawf64")
 
 _HEADER = "# fgn-toolkit v1"
 
+_CHUNK_LINES = 65536  # lines formatted and written at a time
+
+
+def _write_lines(path: str | None, head: list[str], values: np.ndarray, fmt: str) -> None:
+    """The ``head`` lines, then ``fmt.format`` of each value (1-d) or row (2-d).
+
+    Writes to ``path``, or to stdout when it is empty or None, with LF line
+    ends.  Lines are formatted and written one joined string per chunk, so
+    memory stays bounded by one chunk's text.
+    """
+    out = open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
+    with out as fh:
+        fh.write("".join(line + "\n" for line in head))
+        for i in range(0, len(values), _CHUNK_LINES):
+            chunk = values[i : i + _CHUNK_LINES].tolist()
+            lines = map(fmt.format, chunk) if values.ndim == 1 else starmap(fmt.format, chunk)
+            fh.write("\n".join(lines) + "\n")
+
 
 def _write_text(path: str, t: Trace) -> None:
     lines = [_HEADER]
@@ -39,9 +60,7 @@ def _write_text(path: str, t: Trace) -> None:
             lines.append(f"# seed={p.seed}")
         if p.mode is not None:
             lines.append(f"# mode={p.mode}")
-    lines.extend(f"{v:.17g}" for v in t.values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines, t.values, "{:.17g}")
 
 
 def _read_text(path: str) -> Trace:

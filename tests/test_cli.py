@@ -198,6 +198,21 @@ class TestAnalyze:
         write_values(path, np.full(256, 1.0))
         assert run("analyze", "--in", str(path), "--what", "normality") == 4
 
+    @pytest.mark.parametrize("lag", ["-1", "0"])
+    def test_bad_max_lag_exits_2_with_one_line(self, tmp_path, rng, capsys, lag):
+        # -1 used to exit 4 as a "degenerate trace", 0 to end in a traceback
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(64))
+        assert run("analyze", "--in", str(path), "--what", "acf", "--max-lag", lag) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --max-lag must be at least 1, got {lag}"]
+
+    def test_max_lag_past_quarter_of_trace_exits_4(self, tmp_path, rng):
+        # whether a lag is too long depends on the trace, so it is not a bad flag
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(64))
+        assert run("analyze", "--in", str(path), "--what", "acf", "--max-lag", "16") == 4
+
 
 class TestConvert:
     def test_exp2_zero_trace_gives_unit_counts(self, tmp_path):

@@ -258,6 +258,23 @@ class TestWhittleSigma:
         ratio = whittle_sigma(h, 8192, K3) / whittle_sigma(h, 4 * 8192, K3)
         assert ratio == pytest.approx(2.0, abs=1e-3)
 
+    @pytest.mark.parametrize("mode", [K3, EXACT, FAST], ids=str)
+    @pytest.mark.parametrize("hval", [0.55, 0.8, 0.95])
+    def test_matches_defining_formula(self, mode, hval):
+        # sigma_h^2 = 4 pi / (n * 2 * integral_0^pi (d log f / dh)^2 domega), with
+        # log f of the full public spectrum centred over the 2048-point grid,
+        # a central difference of step 1e-4 and the trapezoid rule
+        n = 32768
+        omega = np.pi * np.arange(1, 2049) / 2048
+
+        def centred_log_f(hh):
+            log_f = np.log(fgn_power_spectrum(HurstParam(hh), omega, mode))
+            return log_f - log_f.mean()
+
+        deriv = (centred_log_f(hval + 1e-4) - centred_log_f(hval - 1e-4)) / 2e-4
+        want = np.sqrt(4.0 * np.pi / (n * 2.0 * np.trapezoid(deriv**2, omega)))
+        assert whittle_sigma(HurstParam(hval), n, mode) == pytest.approx(want, rel=1e-9)
+
     def test_positive_and_finite_on_grid(self):
         for hval in np.linspace(0.51, 0.95, 12):
             v = whittle_sigma(HurstParam(hval), 1024, K3)

@@ -1,5 +1,6 @@
 """Spectrum math: autocorrelation, A and B factors, full spectrum, grids."""
 
+import math
 import time
 import tracemalloc
 
@@ -118,6 +119,15 @@ class TestFactorA:
     def test_rejects_outside_pi(self):
         with pytest.raises(ValueError):
             spectrum_factor_a(HurstParam(0.8), 3.2)
+
+    @pytest.mark.parametrize("hval", [0.55, 0.7, 0.95])
+    def test_small_frequencies_keep_full_precision(self, hval):
+        # 1 - cos lam computed directly cancels: 2.5e-6 relative error at the
+        # lowest frequency of a 2^21-point grid, and 0 at lam = 1e-9
+        lam = np.array([2 * np.pi / 2**21, 2 * np.pi / 2**16, 1e-9, 3e-7, 1e-5, 1e-4])
+        c = 2.0 * np.sin(np.pi * hval) * math.gamma(2.0 * hval + 1.0)
+        got = spectrum_factor_a(HurstParam(hval), lam) / c
+        np.testing.assert_allclose(got, lam**2 / 2 - lam**4 / 24, rtol=4 * np.finfo(float).eps)
 
 
 def unrolled_six_term_b(lam, h):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fgn_toolkit import BMode, HurstParam, Trace, TraceProvenance
-from fgn_toolkit.traceio import read_trace, write_trace
+from fgn_toolkit.traceio import _CHUNK_LINES, _write_lines, read_trace, write_trace
 
 
 def test_text_round_trip_is_exact(tmp_path, rng):
@@ -78,3 +78,24 @@ def test_raw_rejects_truncated_file(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_trace(str(tmp_path / "x"), Trace(np.array([1.0])), "csv")
+
+
+def test_text_bytes_match_per_value_formatting(tmp_path):
+    # the chunked writer must give the bytes of one f"{v:.17g}" line per value,
+    # across chunk boundaries and for signed zero, subnormals and integers
+    base = [-0.0, 5e-324, 1e300, 0.1, 3.0, -7.0, 2.0**60]
+    values = np.array(base * (_CHUNK_LINES // len(base) + 2))
+    path = tmp_path / "t.txt"
+    write_trace(str(path), Trace(values), "text")
+    want = "# fgn-toolkit v1\n" + "".join(f"{v:.17g}\n" for v in values)
+    assert path.read_bytes() == want.encode()
+
+
+def test_line_writer_formats_rows_and_integers(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = np.array([[1.0, -0.0], [2.5e-300, 1 / 3]])
+    _write_lines(str(path), ["a,b"], rows, "{:.10g},{:.10g}")
+    assert path.read_text() == "a,b\n" + "".join(f"{x:.10g},{y:.10g}\n" for x, y in rows)
+    counts = np.array([0, 7, 2**62], dtype=np.int64)
+    _write_lines(str(path), [], counts, "{}")
+    assert path.read_text() == "".join(f"{c}\n" for c in counts)
