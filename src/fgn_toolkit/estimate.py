@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import BMode, HurstParam, SpectrumGrid, _Shape
+from .spectrum import BMode, HurstParam, SpectrumGrid, _fourier_frequencies, _Shape
 from .synth import Trace
 
 __all__ = [
@@ -86,8 +86,7 @@ def periodogram(t: Trace) -> SpectrumGrid:
         raise ValueError(f"periodogram needs an even trace of length >= 4, got {n}")
     coeffs = np.fft.rfft(t.values)[1:]
     ords = (coeffs.real**2 + coeffs.imag**2) / n
-    lam = 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
-    return SpectrumGrid(lam, ords)
+    return SpectrumGrid(_fourier_frequencies(n), ords)
 
 
 class _Workspace:

@@ -42,11 +42,22 @@ lam-only factors once (log lam; the tail logs and the double-prime factor,
 or the term column and block size of a partial sum) and then writes B, or
 q = lam^(-2h-1) + B with the power as exp(e log lam), for any h.  1 - cos lam
 is taken as 2 sin^2(lam/2), exact to the last bits at the lowest frequencies.
+
+Because every mode is elementwise, ``_Shape`` writes B and q over
+contiguous column ranges of lam, each with its own slices of the lam-only
+factors and its own work memory.  A call with at least twice
+``_MIN_CHUNK_POWERS`` powers runs one range per CPU the process may use, up
+to ``_MAX_CHUNKS``, on worker threads beside the calling thread; smaller
+calls, and every call in a one-CPU process, run serially.  The terms at
+each lam are added in the same order either way, so the result has the
+same bits whatever the chunking.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +84,23 @@ _DPRIME_K2 = -0.000134
 # Elements per (terms, lam) block of a partial sum: enough rows to vectorize
 # over j on short grids, few enough that a block stays in cache.
 _BLOCK_ELEMENTS = 1 << 14
+
+# A call is split into chunks of at least this many powers (columns times
+# powers per column), and into at most _MAX_CHUNKS, one per available CPU.
+# Measured on a 2-vCPU host, two chunks beat one from about 2^19 powers
+# (doubleprime on 2^16 points: 1.4 -> 0.9 ms) and lost below about 2^18
+# (doubleprime on 16384 points: 0.41 -> 0.59 ms), where starting and joining
+# a thread costs more than the chunk saves.
+_MIN_CHUNK_POWERS = 1 << 18
+_MAX_CHUNKS = 8
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -255,6 +283,16 @@ class _Shape:
     and ``q`` then write into a caller's buffer of len(lam) for any h without
     allocating.  Between calls ``scratch`` (len(lam)) is free for the caller.
     No other code branches on the kind of a B mode.
+
+    A call writes its result chunk by chunk over contiguous column ranges of
+    lam (``_chunk``).  Each chunk reads its own slices of lam and of the
+    lam-only factors and works in its own region ``rows*c0 : rows*c1`` of
+    ``work``, so chunks share no written memory and the terms at each lam are
+    added in the same order whatever the chunking: the result has the same
+    bits.  A call with enough work runs one chunk per available CPU, all but
+    the first on short-lived threads (numpy releases the interpreter lock
+    inside each ufunc); a small call, or any call in a process with one CPU,
+    runs one chunk on the calling thread and starts no thread.
     """
 
     def __init__(self, lam: np.ndarray, mode: BMode) -> None:
@@ -265,14 +303,20 @@ class _Shape:
         self.work = np.empty((2, max(lam.size, _BLOCK_ELEMENTS)))
         self.scratch = self.work[0, : lam.size]
         if mode.kind == "partial":
+            # rows j of a partial-sum block; each column of a chunk owns ``rows`` work columns
             self.rows = min(mode.terms, self.work.shape[1] // max(lam.size, 1))
             self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)[:, None]
+            powers = 2 * mode.terms
         else:  # log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1
+            self.rows = 1
             plus, minus = self.logs = np.empty((2, mode.terms + 1, lam.size))
             for j, tp in enumerate(2.0 * np.pi * np.arange(1, mode.terms + 2)):
                 np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
                 np.log(np.subtract(tp, lam, out=minus[j]), out=minus[j])
+            powers = 2 * mode.terms + 4
         self.dprime = _DPRIME_K1 + _DPRIME_K2 * lam if mode.kind == "doubleprime" else None
+        # powers one call takes: what sets how many chunks it is worth
+        self.powers = powers * lam.size
 
     @staticmethod
     def one_minus_cos(lam: np.ndarray) -> np.ndarray:
@@ -282,28 +326,72 @@ class _Shape:
 
     def q(self, h: float, out: np.ndarray) -> np.ndarray:
         """lam^(-2h-1) + B(lam, h) into ``out``."""
-        return _plus_power(self.log_lam, h, self.b(h, out), self.scratch)
+        return self._run(h, out, True, self._chunks())
 
     def b(self, h: float, out: np.ndarray) -> np.ndarray:
         """B(lam, h) into ``out``."""
-        if self.mode.kind == "partial":
-            return self._partial(h, out)
-        self._truncated(h, out)
-        if self.mode.kind != "k":  # the corrected k = 3 modes
-            out -= 2.0 ** (_PRIME_COEFF * h + _PRIME_OFFSET)
-        if self.dprime is not None:
-            out *= self.dprime
+        return self._run(h, out, False, self._chunks())
+
+    def _chunks(self) -> list[tuple[int, int]]:
+        """Column ranges of one call: as many as there are CPUs, up to
+        ``_MAX_CHUNKS``, each with at least ``_MIN_CHUNK_POWERS`` powers."""
+        count = self.powers // _MIN_CHUNK_POWERS
+        count = min(count, _MAX_CHUNKS, _cpu_count()) if count > 1 else 1
+        size = self.lam.size
+        return [(size * c // count, size * (c + 1) // count) for c in range(count)]
+
+    def _run(self, h: float, out: np.ndarray, power: bool, chunks) -> np.ndarray:
+        """``_chunk`` over each column range: the first on the calling thread,
+        each other on a thread of its own; the first error raised is re-raised."""
+        errors = []
+
+        def worker(c0: int, c1: int) -> None:
+            try:
+                self._chunk(h, out, power, c0, c1)
+            except Exception as exc:  # handed to the calling thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=c) for c in chunks[1:]]
+        for t in threads:
+            t.start()
+        try:
+            self._chunk(h, out, power, *chunks[0])
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[0]
         return out
 
-    def _partial(self, h: float, out: np.ndarray) -> np.ndarray:
+    def _chunk(self, h: float, out: np.ndarray, power: bool, c0: int, c1: int) -> None:
+        """B, plus lam^(-2h-1) when ``power``, into out[c0:c1].
+
+        Uses the columns' own slices of the lam-only factors and the work
+        region ``rows*c0 : rows*c1``, whose first row is also the scratch of
+        the power.
+        """
+        o = out[c0:c1]
+        work = self.work[:, self.rows * c0 : self.rows * c1]
+        if self.mode.kind == "partial":
+            self._partial(h, self.lam[c0:c1], o, work)
+        else:
+            self._truncated(h, self.logs[:, :, c0:c1], o, work)
+            if self.mode.kind != "k":  # the corrected k = 3 modes
+                o -= 2.0 ** (_PRIME_COEFF * h + _PRIME_OFFSET)
+            if self.dprime is not None:
+                o *= self.dprime[c0:c1]
+        if power:
+            _plus_power(self.log_lam[c0:c1], h, o, work[0, : c1 - c0])
+
+    def _partial(self, h: float, lam: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """Raw partial sum, adding the terms at each lam in order j = 1..N.
 
         The order is strict whatever the grid length or block size, so each
-        value depends on its own lam, h and N only.  A block is as many rows
-        j as fit in a work row.
+        value depends on its own lam, h and N only.  ``work`` holds a block of
+        ``rows`` rows j by len(lam) columns, and a second one for the minus terms.
         """
-        lam, rows, d = self.lam, self.rows, -2.0 * h - 1.0
-        block = self.work[:, : rows * lam.size].reshape(2, rows, lam.size)
+        rows, d = self.rows, -2.0 * h - 1.0
+        block = work.reshape(2, rows, lam.size)
         out.fill(0.0)
         for j0 in range(0, self.mode.terms, rows):
             tp = self.tp[j0 : j0 + rows]
@@ -321,15 +409,14 @@ class _Shape:
                 np.add.reduce(terms, axis=0, out=out)
             else:
                 out[:] = np.cumsum(terms, axis=0)[-1]
-        return out
 
-    def _truncated(self, h: float, out: np.ndarray) -> np.ndarray:
+    def _truncated(self, h: float, logs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """First k terms plus the closed-form integral tail, powers as exp(e log x)."""
         k = self.mode.terms
         d = -2.0 * h - 1.0
         dprime = -2.0 * h
-        plus, minus = self.logs
-        t, u = self.work[:, : out.size]
+        plus, minus = logs
+        t, u = work
         out.fill(0.0)
         for j in range(k):
             _power_of(plus[j], d, t)
@@ -340,7 +427,6 @@ class _Shape:
             t += _power_of(log_x, dprime, u)
         t /= 8.0 * h * np.pi
         out += t
-        return out
 
 
 def _on_open_domain(lam, values):
@@ -384,5 +470,10 @@ def build_spectrum_grid(h: HurstParam, n: int, mode: BMode) -> SpectrumGrid:
     n = int(n)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    lam = 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
+    lam = _fourier_frequencies(n)
     return SpectrumGrid(lam, fgn_power_spectrum(h, lam, mode))
+
+
+def _fourier_frequencies(n: int) -> np.ndarray:
+    """The Fourier frequencies 2 pi j / n, j = 1..n/2, of an even path length n."""
+    return 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n

@@ -134,9 +134,24 @@ class TestEstimate:
     def test_missing_file_exits_3(self, tmp_path):
         assert run("estimate", "--in", str(tmp_path / "absent.txt")) == 3
 
-    def test_odd_length_trace_exits_4(self, tmp_path, rng):
+    def test_odd_length_trace_drops_last_value(self, tmp_path, capsys, synth_cache):
+        # the periodogram takes an even length: an odd trace is estimated
+        # from its first n - 1 values, with one note on stderr
+        values = synth_cache(0.7, 1026, 4).values
+        odd, even = tmp_path / "odd.txt", tmp_path / "even.txt"
+        write_values(odd, values[:1025])
+        write_values(even, values[:1024])
+        assert run("estimate", "--in", str(even)) == 0
+        expected = capsys.readouterr().out
+        assert run("estimate", "--in", str(odd)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and "n=1024" in expected
+        assert captured.err == (
+            "note: odd trace length 1025; estimating from the first 1024 values\n")
+
+    def test_three_value_trace_exits_4(self, tmp_path):
         path = tmp_path / "odd.txt"
-        write_values(path, rng.standard_normal(101))
+        write_values(path, [0.1, -0.4, 0.3])
         assert run("estimate", "--in", str(path)) == 4
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -369,6 +384,18 @@ def test_cli_import_leaves_scipy_special_unloaded():
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fgn_toolkit.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # spectrum sums start plain threads, so no command pays for importing
+    # concurrent.futures
+    src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fgn_toolkit.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "False"

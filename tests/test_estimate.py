@@ -1,5 +1,8 @@
 """Periodogram and Whittle estimation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -279,3 +282,40 @@ class TestWhittleSigma:
         for hval in np.linspace(0.51, 0.95, 12):
             v = whittle_sigma(HurstParam(hval), 1024, K3)
             assert np.isfinite(v) and v > 0
+
+
+ONE_CPU_CHILD = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+starts = []
+_start = threading.Thread.start
+def counted_start(self):
+    starts.append(self)
+    _start(self)
+threading.Thread.start = counted_start
+from fgn_toolkit import BMode, HurstParam, synthesize_fgn, whittle_estimate
+trace = synthesize_fgn(HurstParam(0.7), 32768, 6, BMode.truncated(3))
+for mode in ("exact", "fast"):
+    r = whittle_estimate(trace, BMode.parse(mode))
+    print(r.h_hat.hex(), r.sigma_h.hex(), r.objective.hex())
+print(len(starts))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_process_gives_same_estimates_and_starts_no_thread(synth_cache):
+    # spectrum sums are split across the CPUs a process may use; a process
+    # pinned to one CPU sums serially, and the estimates keep their bits
+    src_dir = os.path.dirname(os.path.dirname(estimate.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], capture_output=True,
+                          text=True, env=env, check=True, timeout=300)
+    *child, thread_starts = proc.stdout.split("\n")[:-1]
+    trace = synth_cache(0.7, 32768, 6)
+    ours = []
+    for mode in (EXACT, FAST):
+        r = whittle_estimate(trace, mode)
+        ours.append(f"{r.h_hat.hex()} {r.sigma_h.hex()} {r.objective.hex()}")
+    assert child == ours
+    assert thread_starts == "0"

@@ -1,6 +1,7 @@
 """Spectrum math: autocorrelation, A and B factors, full spectrum, grids."""
 
 import math
+import sys
 import time
 import tracemalloc
 
@@ -16,7 +17,8 @@ from fgn_toolkit import (
     spectrum_b,
     spectrum_factor_a,
 )
-from fgn_toolkit.spectrum import EXACT, FAST, NEAR_EXACT
+from fgn_toolkit import spectrum
+from fgn_toolkit.spectrum import EXACT, FAST, NEAR_EXACT, _Shape
 
 # Error-bound evaluation grid: h values by column of the published error
 # curves, lambda from 0.01 out to 3.0 in steps of 0.3.
@@ -301,3 +303,78 @@ class TestBuildSpectrumGrid:
         start = time.perf_counter()
         build_spectrum_grid(h, 32768, BMode.truncated(3))
         assert time.perf_counter() - start < 1.0
+
+
+CHUNK_MODES = [BMode.parse(m) for m in ("k:1", "k:3", "prime", "doubleprime", "partial:7",
+                                        "partial:200")]
+
+
+def forced_chunks(size):
+    """Uneven column ranges covering 0..size, with one-column ranges at both ends."""
+    cuts = sorted({c for c in (1, size // 3, size // 2 + 1, size - 1) if 0 < c < size})
+    bounds = [0] + cuts + [size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class TestChunks:
+    """_Shape writes B and q over column ranges: any chunking gives the same bits."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 2047, 2048, 16384, 2**20])
+    @pytest.mark.parametrize("mode", CHUNK_MODES, ids=str)
+    def test_chunked_equals_whole(self, mode, size):
+        lam = np.pi * np.arange(1, size + 1) / size
+        shape = _Shape(lam, mode)
+        for power in (False, True):  # b, then q
+            whole = shape._run(0.73, np.full(size, np.nan), power, [(0, size)])
+            chunked = shape._run(0.73, np.full(size, np.nan), power, forced_chunks(size))
+            assert np.array_equal(chunked, whole)
+
+    def test_public_calls_equal_one_chunk(self):
+        # b and q split a call this large across the CPUs; the bits are a
+        # single chunk's
+        lam = fourier_grid(32768)
+        shape = _Shape(lam, EXACT)
+        assert len(shape._chunks()) == min(spectrum._cpu_count(), spectrum._MAX_CHUNKS)
+        one = [(0, lam.size)]
+        assert np.array_equal(shape.b(0.6, np.empty_like(lam)),
+                              shape._run(0.6, np.empty_like(lam), False, one))
+        assert np.array_equal(shape.q(0.6, np.empty_like(lam)),
+                              shape._run(0.6, np.empty_like(lam), True, one))
+
+    def test_chunk_count_is_bounded(self, monkeypatch):
+        lam = fourier_grid(2**21)
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 64)
+        chunks = _Shape(lam, FAST)._chunks()
+        assert len(chunks) == spectrum._MAX_CHUNKS
+        assert [c0 for c0, _ in chunks[1:]] == [c1 for _, c1 in chunks[:-1]]
+        assert (chunks[0][0], chunks[-1][1]) == (0, lam.size)
+        # each chunk keeps at least the minimum work; small calls stay whole
+        assert len(_Shape(fourier_grid(2**17), FAST)._chunks()) == 2
+        assert len(_Shape(fourier_grid(32768), FAST)._chunks()) == 1
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 1)
+        assert len(_Shape(lam, FAST)._chunks()) == 1
+
+    def test_many_threads_with_fast_switching_keep_bits(self):
+        # more chunks than CPUs, switching threads every few microseconds: a
+        # chunk writing outside its own columns or work region would show
+        lam = fourier_grid(32768)
+        for mode in (EXACT, FAST, BMode.partial(7)):
+            shape = _Shape(lam, mode)
+            whole = shape._run(0.66, np.empty_like(lam), True, [(0, lam.size)])
+            bounds = np.linspace(0, lam.size, 33).astype(int)
+            chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(3):
+                    got = shape._run(0.66, np.full_like(lam, np.nan), True, chunks)
+                    assert np.array_equal(got, whole)
+            finally:
+                sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_caller(self):
+        # a chunk that fails on a worker thread raises in the calling thread
+        lam = fourier_grid(4096)
+        shape = _Shape(lam, EXACT)
+        with pytest.raises(ValueError):
+            shape._run(0.7, np.empty(16), False, [(0, 16), (16, lam.size)])
