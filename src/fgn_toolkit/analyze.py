@@ -4,7 +4,9 @@ Covers block-mean aggregation, variance-time curves with a least-squares
 slope fit (slope -2(1-H) for a self-similar process, so the implied Hurst
 parameter is 1 + slope/2), the Anderson-Darling A^2 test for marginal
 normality with estimated mean and variance, normal Q-Q plot data and the
-sample autocorrelation.
+sample autocorrelation.  The autocorrelation sums every lag at once as a
+blocked Gram product of the trace's consecutive blocks (BLAS matrix
+products, O(n (max_lag + 1024)) work, a few MB of scratch for any lag).
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ __all__ = [
 # 95th percentiles 0.7521, 0.7540, 0.7484, 0.7516; regenerate with
 # tools/calibrate_ad_critical.py.
 AD_CRITICAL_5PCT = 0.752
+
+# Largest block length P of sample_autocorrelation's Gram product: its
+# P x 2P buffer (4 MB at 512) bounds the scratch memory for any max_lag.
+# 256 and 1024 were up to 9% slower at n = 2^21, max_lag 1000 and 3000.
+_ACF_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -158,16 +165,42 @@ def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
 
     rho_hat(k) = sum (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2,
     with max_lag < n/4 so every lag keeps a reasonable overlap.
+
+    The sums come from a blocked Gram product, not one dot product per
+    lag.  The centred trace, zero-padded, is cut into the rows of an
+    (m, P) matrix M of consecutive blocks, P = min(max_lag + 1, 512).
+    With G_0 = M.T @ M and G_g = M[:-g].T @ M[g:], the sum for lag
+    k = gP + s is diagonal s of G_g plus diagonal s - P of G_{g+1}; a
+    skewed view of [G_g | G_{g+1}] reads both as its column sums.  That
+    is max_lag // P + 2 matrix products of O(nP) each, so the cost is
+    O(n (max_lag + 2P)) at BLAS speed, and the scratch memory is one
+    padded copy of the trace plus a P x 2P buffer, whatever max_lag is.
+    rho_hat(0) is exactly 1.  BLAS may split a product over threads, so
+    the last bits depend on its thread count (as a dot product's do); a
+    run repeated in the same environment gives the same bits.
     """
     max_lag = int(max_lag)
     if max_lag < 0 or max_lag >= t.n / 4:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < n/4, got {max_lag}")
-    centered = t.values - t.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
+    p = min(max_lag + 1, _ACF_BLOCK)
+    m = -(-t.n // p)
+    padded = np.zeros(m * p)
+    padded[: t.n] = t.values
+    padded[: t.n] -= t.mean()
+    blocks = padded.reshape(m, p)
+    # [G_g | G_{g+1}] lives in the first 2P^2 values of buf; row a of the
+    # (P, 2P+1) view starts at column a of that matrix, so its column s
+    # holds G_g[a, a+s] when a+s < P and G_{g+1}[a, a+s-P] otherwise
+    buf = np.zeros(2 * p * p + p)
+    pair = buf[: 2 * p * p].reshape(p, 2 * p)
+    skew = buf.reshape(p, 2 * p + 1)[:, :p]
+    n_groups = max_lag // p + 1
+    r = np.empty(n_groups * p)
+    np.matmul(blocks.T, blocks, out=pair[:, p:])
+    for g in range(n_groups):
+        pair[:, :p] = pair[:, p:]
+        np.matmul(blocks[: m - g - 1].T, blocks[g + 1 : m], out=pair[:, p:])
+        np.sum(skew, axis=0, out=r[g * p : (g + 1) * p])
+    if r[0] == 0.0:
         raise ValueError("degenerate (constant) trace")
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        out[k] = np.dot(centered[:-k], centered[k:]) / denom
-    return out
+    return r[: max_lag + 1] / r[0]

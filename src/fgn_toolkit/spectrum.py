@@ -238,27 +238,39 @@ class SpectrumGrid:
         return 2 * self.lambdas.size
 
 
+def _elementwise(x, bad, message, values):
+    """``values`` of x as a float array; a float for scalar x.
+
+    Raises ``ValueError(message)`` if ``bad`` holds anywhere in x.  The one
+    scalar-or-array wrapper of the public elementwise functions.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.any(bad(arr)):
+        raise ValueError(message)
+    out = values(arr)
+    return out.item() if arr.ndim == 0 else out
+
+
 def fgn_autocorrelation(h: HurstParam, k):
     """Exact FGN autocorrelation r(k) = ((k+1)^2H - 2 k^2H + |k-1|^2H) / 2.
 
     ``k`` may be a nonnegative integer or an array of them; r(0) = 1.
     For h = 1/2 (permissive constructor) this is 0 at every positive lag.
     """
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < 0):
-        raise ValueError("lag must be nonnegative")
     two_h = 2.0 * h.h
-    r = 0.5 * ((karr + 1.0) ** two_h - 2.0 * karr**two_h + np.abs(karr - 1.0) ** two_h)
-    return float(r) if np.isscalar(k) or karr.ndim == 0 else r
+    return _elementwise(
+        k,
+        lambda x: x < 0,
+        "lag must be nonnegative",
+        lambda x: 0.5 * ((x + 1.0) ** two_h - 2.0 * x**two_h + np.abs(x - 1.0) ** two_h),
+    )
 
 
 def spectrum_factor_a(h: HurstParam, lam):
     """Frequency-dependent prefactor A(lam, h) = 2 sin(pi h) Gamma(2h+1) (1 - cos lam)."""
-    larr = np.asarray(lam, dtype=float)
-    if np.any(np.abs(larr) > np.pi):
-        raise ValueError("|lambda| must not exceed pi")
-    a = _factor_a(larr, h.h)
-    return float(a) if np.isscalar(lam) or larr.ndim == 0 else a
+    return _elementwise(
+        lam, lambda x: np.abs(x) > np.pi, "|lambda| must not exceed pi", lambda x: _factor_a(x, h.h)
+    )
 
 
 def _factor_a(lam: np.ndarray, h: float) -> np.ndarray:
@@ -431,11 +443,12 @@ class _Shape:
 
 def _on_open_domain(lam, values):
     """``values`` of lam as a 1-d array, lam checked to lie in (0, pi]; a float for scalar lam."""
-    larr = np.asarray(lam, dtype=float)
-    if np.any(larr <= 0) or np.any(larr > np.pi):
-        raise ValueError("lambda must lie in (0, pi]")
-    out = values(np.atleast_1d(larr))
-    return float(out[0]) if np.isscalar(lam) or larr.ndim == 0 else out
+    return _elementwise(
+        lam,
+        lambda x: (x <= 0) | (x > np.pi),
+        "lambda must lie in (0, pi]",
+        lambda x: values(np.atleast_1d(x)),
+    )
 
 
 def spectrum_b(h: HurstParam, lam, mode: BMode):

@@ -5,7 +5,9 @@ to a target mean/sd or by the exponential map y = 2**x (which keeps the
 long-range dependence of the input while guaranteeing positive values).
 Real values then become integer per-bin counts, and counts become event
 times within their bins, spread uniformly (approximately exponential
-interarrivals) or evenly (constant interarrivals).
+interarrivals) or evenly (constant interarrivals).  Event times are
+written into one preallocated array a block of bins at a time, so the
+conversion's peak memory is little more than its output.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ _MAX_COUNT = 2.0**63
 # times), far above the ~17.8M of a 2**21-bin exp2 trace with log2 mean 3;
 # a larger total is a mis-scaled input, not a trace to allocate.
 _MAX_ARRIVALS = 2**31
+# Bins per block of counts_to_interarrivals: at the ~8.5 arrivals per bin of
+# that trace a block's ~17K times (140 KB) stay in L2 while they are spread
+# and sorted (256 to 16384 bins measured; 1024 to 4096 were within 5%).
+_BLOCK_BINS = 2048
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,16 @@ def counts_to_interarrivals(
     always contains exactly sum(counts) strictly increasing times; exact
     floating-point ties in uniform mode are broken by a one-ulp nudge.
     Raises ``ValueError`` before allocating when the total exceeds 2**31.
+
+    The times are written into one preallocated array, one block of
+    ``_BLOCK_BINS`` bins at a time, so each block's arithmetic and sort
+    run while its arrivals sit in cache and no other array of the output's
+    length is made: peak memory is the output plus a block's temporaries.
+    Uniform mode fills the whole array from ``rng`` first (the stream of
+    ``rng.random(total)``), then scales, shifts and sorts block by block.
+    Bins are disjoint and ordered, so the block sorts give the bits of one
+    global sort; the rare time that rounds past the next block's first
+    time is caught at the block edge and merged by a global sort.
     """
     if spread not in ("uniform", "even"):
         raise ValueError(f"spread must be 'uniform' or 'even', got {spread!r}")
@@ -141,26 +157,57 @@ def counts_to_interarrivals(
         raise ValueError(f"{total:.3g} arrivals exceed the limit of {_MAX_ARRIVALS} (2**31)")
     if total == 0:
         return InterarrivalSeq(np.empty(0))
-    starts = np.repeat(np.arange(counts.size, dtype=float) * width, counts)
-    if spread == "uniform":
-        if rng is None:
-            raise ValueError("uniform spreading needs a random generator")
-        times = rng.random(total)
-        times *= width
-        times += starts
-        # Bins are half-open and disjoint, so a global sort equals per-bin sorts.
-        times.sort()
-        if np.any(times[1:] <= times[:-1]):
-            # ties have probability ~0; the scalar sweep handles cascades
-            for i in range(1, times.size):
-                if times[i] <= times[i - 1]:
-                    times[i] = np.nextafter(times[i - 1], np.inf)
-    else:
-        # index of each event within its bin, exact in float64 below 2**53
-        times = np.arange(total, dtype=float)
-        times -= np.repeat((np.cumsum(counts) - counts).astype(float), counts)
-        times += 0.5
-        times *= width
-        times /= np.repeat(counts.astype(float), counts)
-        times += starts
+    uniform = spread == "uniform"
+    if uniform and rng is None:
+        raise ValueError("uniform spreading needs a random generator")
+    times = np.empty(total)
+    if uniform:
+        rng.random(out=times)
+    edges = range(0, counts.size, _BLOCK_BINS)
+    tied = []
+    stop = 0
+    for b0, size in zip(edges, np.add.reduceat(counts, edges).tolist()):
+        start, stop = stop, stop + size
+        if size == 0:
+            continue
+        c = counts[b0 : b0 + _BLOCK_BINS]
+        seg = times[start:stop]
+        starts = np.repeat(np.arange(b0, b0 + c.size, dtype=float) * width, c)
+        if uniform:
+            seg *= width
+            seg += starts
+            seg.sort()
+            if np.any(seg[1:] <= seg[:-1]) or (start and seg[0] <= times[start - 1]):
+                tied.append((start, stop))
+        else:
+            # index of each event within its bin, exact in float64 below 2**53
+            np.subtract(np.arange(size, dtype=float),
+                        np.repeat((np.cumsum(c) - c).astype(float), c), out=seg)
+            seg += 0.5
+            seg *= width
+            seg /= np.repeat(c.astype(float), c)
+            seg += starts
+    if tied:
+        _break_ties(times, tied)
     return InterarrivalSeq(times)
+
+
+def _break_ties(times: np.ndarray, blocks: list[tuple[int, int]]) -> None:
+    """Raise each time not above its predecessor to the next float, left to right.
+
+    ``blocks`` lists the (start, stop) ranges whose sorted times tie, or
+    whose first time does not exceed the previous block's last.  Only
+    those ranges can hold a tie before the sweep, and a nudge can only tie
+    the time after it, so visiting their ties and the cascades that follow
+    gives the bits of a sweep over every time.
+    """
+    firsts = np.array([start for start, _ in blocks if start])
+    if firsts.size and np.any(times[firsts] < times[firsts - 1]):
+        times.sort()
+        blocks = [(0, times.size)]
+    for start, stop in blocks:
+        lo = max(start, 1)
+        for i in (np.flatnonzero(times[lo:stop] <= times[lo - 1 : stop - 1]) + lo).tolist():
+            while i < times.size and times[i] <= times[i - 1]:
+                times[i] = np.nextafter(times[i - 1], np.inf)
+                i += 1

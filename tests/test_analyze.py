@@ -1,4 +1,10 @@
-"""Aggregation, variance-time curves, normality testing, Q-Q data."""
+"""Aggregation, variance-time curves, normality testing, Q-Q data, ACF."""
+
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +18,11 @@ from fgn_toolkit import (
     exact_fgn,
     make_rng,
     qq_points,
+    sample_autocorrelation,
+    synthesize_fgn,
     variance_time_curve,
 )
+from fgn_toolkit import analyze
 from fgn_toolkit.analyze import ad_statistic, default_m_levels
 from scipy.stats import norm
 
@@ -174,3 +183,69 @@ class TestQQPoints:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             qq_points(Trace(np.array([1.0])))
+
+
+ACF_CHILD = """
+import sys
+import numpy as np
+from fgn_toolkit import HurstParam, sample_autocorrelation, synthesize_fgn
+rho = sample_autocorrelation(synthesize_fgn(HurstParam(0.8), 2**16, 3), 1000)
+np.save(sys.argv[1], rho)
+"""
+
+
+class TestSampleAutocorrelationKernel:
+    """The blocked Gram product against references that sum lag by lag."""
+
+    P = analyze._ACF_BLOCK
+
+    @pytest.fixture(scope="class")
+    def fsum_reference(self):
+        # n is no multiple of the block length, so the last block is padded
+        t = synthesize_fgn(HurstParam(0.8), 4 * (2 * self.P + 3) + 202, 8)
+        assert t.n % self.P != 0
+        x = t.values - t.mean()
+        r = [math.fsum(x * x)]
+        r += [math.fsum(x[:-k] * x[k:]) for k in range(1, 2 * self.P + 4)]
+        return t, np.array(r) / r[0]
+
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["1", "P-1", "P", "P+1", "2P+3"],
+    )
+    def test_matches_fsum_reference(self, fsum_reference, blocks, extra):
+        t, want = fsum_reference
+        max_lag = blocks * self.P + extra
+        rho = sample_autocorrelation(t, max_lag)
+        assert rho.shape == (max_lag + 1,)
+        assert rho[0] == 1.0
+        assert np.abs(rho - want[: max_lag + 1]).max() <= 1e-14
+
+    def test_largest_lag_memory_stays_bounded(self):
+        # an uncapped (max_lag+1)^2 Gram at n = 2^16, max_lag = n/4 - 1
+        # would hold 2^28 values (2 GiB)
+        n = 2**16
+        max_lag = n // 4 - 1
+        t = synthesize_fgn(HurstParam(0.7), n, 4)
+        tracemalloc.start()
+        try:
+            rho = sample_autocorrelation(t, max_lag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (max_lag + 1) ** 2 / 64
+        x = t.values - t.mean()
+        r0 = float(np.dot(x, x))
+        for k in (1, self.P - 1, self.P, 3 * self.P + 7, max_lag):
+            assert abs(rho[k] - float(np.dot(x[:-k], x[k:])) / r0) <= 1e-14
+
+    def test_one_blas_thread_agrees_with_this_process(self, tmp_path):
+        # the last bits may follow the BLAS thread count, the values may not
+        src_dir = os.path.dirname(os.path.dirname(analyze.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "rho.npy"
+        subprocess.run([sys.executable, "-c", ACF_CHILD, str(out)], env=env, check=True,
+                       timeout=300)
+        ours = sample_autocorrelation(synthesize_fgn(HurstParam(0.8), 2**16, 3), 1000)
+        assert np.abs(np.load(out) - ours).max() <= 1e-14

@@ -1,5 +1,7 @@
 """Trace-to-traffic conversions: exp2 map, integer counts, interarrivals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -15,6 +17,33 @@ from fgn_toolkit import (
     to_integer_counts,
     whittle_estimate,
 )
+from fgn_toolkit import traffic
+
+BLOCK = traffic._BLOCK_BINS
+
+
+class FixedUniforms:
+    """Stands in for a generator: ``random(out=...)`` fills the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None, out=None):
+        out[:] = self.values
+        return out
+
+
+def out_of_place(counts, width, spread, uniforms=None):
+    """Both spreads as plain whole-array expressions, ties swept over every time."""
+    starts = np.repeat(np.arange(counts.size, dtype=float) * width, counts)
+    if spread == "even":
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return starts + (within + 0.5) * width / np.repeat(counts, counts).astype(float)
+    times = np.sort(starts + width * uniforms)
+    for i in range(1, times.size):
+        if times[i] <= times[i - 1]:
+            times[i] = np.nextafter(times[i - 1], np.inf)
+    return times
 
 
 class TestExp2Transform:
@@ -176,3 +205,79 @@ class TestCountsToInterarrivals:
             p = kstest(gaps, "expon", args=(0, gaps.mean())).pvalue
             passes += p >= 0.05
         assert passes >= 18
+
+
+class TestInterarrivalBlocks:
+    """Arrivals are spread and sorted one block of bins at a time."""
+
+    @pytest.mark.parametrize("empty_block", [0, 1])
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_block_edges_give_the_whole_array_bits(self, spread, empty_block):
+        # 3 whole blocks and one bin, one block all empty, and one bin
+        # holding more arrivals than a block of typical bins
+        counts = make_rng(21).integers(0, 12, size=3 * BLOCK + 1)
+        counts[empty_block * BLOCK : (empty_block + 1) * BLOCK] = 0
+        counts[2 * BLOCK + 5] = 20 * BLOCK
+        counts[-1] = 3
+        width = 0.37
+        uniforms = make_rng(5).random(int(counts.sum()))
+        want = out_of_place(counts, width, spread, uniforms)
+        got = counts_to_interarrivals(ArrivalTrace(counts, width), spread, rng=make_rng(5))
+        assert np.array_equal(got.times, want)
+
+    def test_even_spread_peak_memory_near_its_output(self):
+        counts = make_rng(22).integers(0, 18, size=2**16)
+        a = ArrivalTrace(counts, 1.0)
+        output_bytes = 8 * a.total
+        tracemalloc.start()
+        try:
+            seq = counts_to_interarrivals(a, "even")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.times.size == a.total
+        assert peak < 1.5 * output_bytes
+
+    def test_every_bin_tied(self):
+        # zero uniforms put all of a bin's arrivals on its start: each bin is
+        # one cascade of one-ulp nudges
+        counts = make_rng(23).integers(0, 20, size=5000)
+        total = int(counts.sum())
+        seq = counts_to_interarrivals(ArrivalTrace(counts, 1.0), "uniform",
+                                      rng=FixedUniforms(0.0))
+        assert np.all(seq.times[1:] > seq.times[:-1])
+        assert np.array_equal(np.floor(seq.times).astype(int),
+                              np.repeat(np.arange(counts.size), counts))
+        assert np.array_equal(seq.times, out_of_place(counts, 1.0, "uniform", np.zeros(total)))
+
+    def test_nudges_cascade_into_untied_times_and_the_next_block(self):
+        # bin BLOCK - 1 ends in two equal times one ulp below the next bin's
+        # start, and bin 1's times after its tie are one and two ulps up:
+        # a nudge ties the time after it, across bins and across a block edge
+        ulp1 = 2.0**-52
+        counts = np.zeros(BLOCK + 1, dtype=np.int64)
+        counts[[1, BLOCK - 1, BLOCK]] = [4, 2, 2]
+        top = 1.0 - np.spacing(float(BLOCK - 1))
+        uniforms = np.array([0.0, 0.0, ulp1, 2 * ulp1, top, top, 0.0, 0.5])
+        want = out_of_place(counts, 1.0, "uniform", uniforms)
+        assert want[-2] == np.nextafter(float(BLOCK), np.inf)
+        got = counts_to_interarrivals(ArrivalTrace(counts, 1.0), "uniform",
+                                      rng=FixedUniforms(uniforms))
+        assert np.array_equal(got.times, want)
+
+    def test_time_rounded_past_the_next_block_is_merged(self):
+        # the largest uniform can round a bin's last time above the next
+        # bin's start; across a block edge the blocks' sorts alone would
+        # leave that pair out of order
+        u_max = 1.0 - 2.0**-53
+        edge = 3 * BLOCK
+        width = next(w for w in 0.1 + np.arange(1000) / 1000
+                     if (edge - 1) * w + u_max * w > edge * w)
+        counts = np.zeros(edge + 1, dtype=np.int64)
+        counts[[0, edge - 1, edge]] = 2
+        uniforms = np.array([0.2, 0.4, 0.5, u_max, 0.0, 0.5])
+        want = out_of_place(counts, width, "uniform", uniforms)
+        assert want[3] == edge * width  # bin edge's first time sorts before bin edge - 1's last
+        got = counts_to_interarrivals(ArrivalTrace(counts, width), "uniform",
+                                      rng=FixedUniforms(uniforms))
+        assert np.array_equal(got.times, want)
