@@ -11,7 +11,6 @@ from .analyze import (
     NormalityReport,
     VarianceTimeCurve,
     ad_normality_test,
-    aggregate,
     qq_points,
     sample_autocorrelation,
     variance_time_curve,
@@ -23,7 +22,6 @@ from .estimate import (
     whittle_objective,
     whittle_sigma,
 )
-from .oracle import covariance_factor, exact_fgn
 from .spectrum import (
     BMode,
     HurstParam,
@@ -32,14 +30,12 @@ from .spectrum import (
     fgn_autocorrelation,
     fgn_power_spectrum,
     spectrum_b,
-    spectrum_factor_a,
 )
 from .synth import (
     Trace,
     TraceProvenance,
-    fuzz_spectrum,
+    exact_fgn,
     make_rng,
-    random_phase_complexify,
     rescale_trace,
     synthesize_fgn,
 )
@@ -66,23 +62,18 @@ __all__ = [
     "VarianceTimeCurve",
     "WhittleResult",
     "ad_normality_test",
-    "aggregate",
     "build_spectrum_grid",
     "counts_to_interarrivals",
-    "covariance_factor",
     "exact_fgn",
     "exp2_transform",
     "fgn_autocorrelation",
     "fgn_power_spectrum",
-    "fuzz_spectrum",
     "make_rng",
     "periodogram",
     "qq_points",
-    "random_phase_complexify",
     "rescale_trace",
     "sample_autocorrelation",
     "spectrum_b",
-    "spectrum_factor_a",
     "synthesize_fgn",
     "to_integer_counts",
     "variance_time_curve",

@@ -18,6 +18,7 @@ import pytest
 from fgn_toolkit import (
     BMode,
     HurstParam,
+    Trace,
     ad_normality_test,
     exact_fgn,
     fgn_autocorrelation,
@@ -29,7 +30,7 @@ from fgn_toolkit import (
     variance_time_curve,
     whittle_estimate,
 )
-from fgn_toolkit.spectrum import NEAR_EXACT
+from fgn_toolkit.spectrum import FAST, NEAR_EXACT
 
 K3 = BMode.truncated(3)
 EXACT = BMode.partial(200)
@@ -41,7 +42,7 @@ ERROR_GRID_H = (0.5, 0.6, 0.7, 0.8, 0.9)
 ERROR_GRID_LAMBDA = np.concatenate([[0.01], np.arange(0.3, 3.01, 0.3)])
 
 
-def report(num: int, name: str, ok: bool, detail: str) -> None:
+def report(num: int | str, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {num} ({name}): {status} -- {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
@@ -207,15 +208,18 @@ def test_criterion_6_normality(battery):
     )
 
 
-def test_criterion_7_oracle_equivalence(battery):
-    # estimator versus the exact covariance-factorization generator
-    h_grid = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90)
+ORACLE_H_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90)
+
+
+def test_criterion_7_oracle_equivalence(battery, cholesky_factor):
+    # estimator versus exact FGN from the tests' Cholesky reference
     good = 0
     total = 0
-    for hval in h_grid:
-        h = HurstParam(hval)
+    for hval in ORACLE_H_GRID:
+        L = cholesky_factor(hval, 2048)
         for j in range(5):
-            res = whittle_estimate(exact_fgn(h, 2048, make_rng(50_000 + 100 * round(100 * hval) + j)), EXACT)
+            path = L @ make_rng(50_000 + 100 * round(100 * hval) + j).standard_normal(2048)
+            res = whittle_estimate(Trace(path), EXACT)
             total += 1
             good += abs(res.h_hat - hval) <= 3 * res.sigma_h
     # sample autocorrelation of synthesized paths versus the exact formula
@@ -236,7 +240,26 @@ def test_criterion_7_oracle_equivalence(battery):
     )
 
 
-def test_criterion_8_byte_identical_runs(tmp_path):
+def test_oracle_equivalence_at_acceptance_size():
+    # criterion 7's check at the battery's n, on circulant-embedding paths
+    # and fast-mode estimates
+    good = 0
+    total = 0
+    for hval in ORACLE_H_GRID:
+        h = HurstParam(hval)
+        for j in range(5):
+            res = whittle_estimate(exact_fgn(h, N, make_rng(70_000 + 100 * round(100 * hval) + j)), FAST)
+            total += 1
+            good += abs(res.h_hat - hval) <= 3 * res.sigma_h
+    report(
+        "7b",
+        f"oracle equivalence at n={N}",
+        good / total >= 0.95,
+        f"{good}/{total} exact-oracle estimates within 3 sigma (fast mode)",
+    )
+
+
+def test_criterion_8_byte_identical_runs(tmp_path, child_env):
     outputs = []
     for name in ("a.txt", "b.txt"):
         out = tmp_path / name
@@ -245,7 +268,7 @@ def test_criterion_8_byte_identical_runs(tmp_path):
             "--n", "4096", "--hurst", "0.8", "--seed", "31", "--mode", "k:3",
             "--out", str(out),
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1]

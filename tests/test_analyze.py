@@ -1,7 +1,6 @@
 """Aggregation, variance-time curves, normality testing, Q-Q data, ACF."""
 
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +13,6 @@ from fgn_toolkit import (
     HurstParam,
     Trace,
     ad_normality_test,
-    aggregate,
     exact_fgn,
     make_rng,
     qq_points,
@@ -23,7 +21,7 @@ from fgn_toolkit import (
     variance_time_curve,
 )
 from fgn_toolkit import analyze
-from fgn_toolkit.analyze import ad_statistic, default_m_levels
+from fgn_toolkit.analyze import ad_statistic, aggregate, default_m_levels
 from scipy.stats import norm
 
 
@@ -239,11 +237,9 @@ class TestSampleAutocorrelationKernel:
         for k in (1, self.P - 1, self.P, 3 * self.P + 7, max_lag):
             assert abs(rho[k] - float(np.dot(x[:-k], x[k:])) / r0) <= 1e-14
 
-    def test_one_blas_thread_agrees_with_this_process(self, tmp_path):
+    def test_one_blas_thread_agrees_with_this_process(self, tmp_path, child_env):
         # the last bits may follow the BLAS thread count, the values may not
-        src_dir = os.path.dirname(os.path.dirname(analyze.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        env = dict(child_env, OPENBLAS_NUM_THREADS="1")
         out = tmp_path / "rho.npy"
         subprocess.run([sys.executable, "-c", ACF_CHILD, str(out)], env=env, check=True,
                        timeout=300)

@@ -1,13 +1,11 @@
 """Command line behavior: flags, exit codes, file formats, summaries."""
 
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import fgn_toolkit
 from fgn_toolkit import cli
 from fgn_toolkit.cli import main
 from fgn_toolkit.traceio import read_trace, write_trace
@@ -363,39 +361,30 @@ class TestSpectrumTable:
         assert err == ["error: lambda grid steps must be at most 65536, got 1000000000000000"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_stats_unloaded(child_env):
     # fresh interpreters that find the package where this test found it;
     # the package needs scipy.special only
-    src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     for module in ("fgn_toolkit", "fgn_toolkit.cli"):
         code = (f"import sys, {module}; "
                 "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
+                              env=child_env, check=True)
         assert proc.stdout.strip() == "[]", module
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
+def test_cli_import_leaves_scipy_special_unloaded(child_env):
     # scipy.special is imported inside the A^2 and Q-Q functions only, so
     # synth, estimate, convert and spectrum never pay for it
-    src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fgn_toolkit.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env, check=True)
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_concurrent_futures_unloaded():
+def test_cli_import_leaves_concurrent_futures_unloaded(child_env):
     # spectrum sums start plain threads, so no command pays for importing
     # concurrent.futures
-    src_dir = os.path.dirname(os.path.dirname(fgn_toolkit.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fgn_toolkit.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env, check=True)
     assert proc.stdout.strip() == "False"

@@ -303,14 +303,11 @@ print(len(starts))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_one_cpu_process_gives_same_estimates_and_starts_no_thread(synth_cache):
+def test_one_cpu_process_gives_same_estimates_and_starts_no_thread(synth_cache, child_env):
     # spectrum sums are split across the CPUs a process may use; a process
     # pinned to one CPU sums serially, and the estimates keep their bits
-    src_dir = os.path.dirname(os.path.dirname(estimate.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], capture_output=True,
-                          text=True, env=env, check=True, timeout=300)
+                          text=True, env=child_env, check=True, timeout=300)
     *child, thread_starts = proc.stdout.split("\n")[:-1]
     trace = synth_cache(0.7, 32768, 6)
     ours = []

@@ -1,4 +1,4 @@
-"""Exact covariance-factorization generator and sample statistics."""
+"""Exact circulant-embedding generator, its Cholesky reference, sample statistics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fgn_toolkit import (
     BMode,
     HurstParam,
     Trace,
-    covariance_factor,
     exact_fgn,
     fgn_autocorrelation,
     fgn_power_spectrum,
@@ -19,49 +18,94 @@ from fgn_toolkit import (
 )
 
 
+class _BasisNormals:
+    """Stand-in generator whose draws, in order, spell the unit vector e_c."""
+
+    def __init__(self, c: int, n: int):
+        self.e = np.zeros(4 * n)
+        self.e[c] = 1.0
+        self.used = 0
+
+    def standard_normal(self, size):
+        assert size == self.e.size // 2
+        out = self.e[self.used:self.used + size]
+        self.used += size
+        return out
+
+
+def embedding_map(h: HurstParam, n: int) -> np.ndarray:
+    """The n x 4n matrix A with exact_fgn's path = A @ (its 4n normals)."""
+    return np.column_stack([exact_fgn(h, n, _BasisNormals(c, n)).values for c in range(4 * n)])
+
+
 class TestCovarianceFactor:
-    def test_reconstruction_error(self):
+    """The tests' Cholesky reference, which the embedding is checked against."""
+
+    def test_reconstruction_error(self, cholesky_factor):
         h = HurstParam(0.8)
-        L = covariance_factor(h, 256)
+        L = cholesky_factor(0.8, 256)
         sigma = toeplitz(fgn_autocorrelation(h, np.arange(256)))
         assert np.abs(L @ L.T - sigma).max() <= 1e-8
 
-    def test_lower_triangular_positive_diagonal(self):
-        L = covariance_factor(HurstParam(0.7), 64)
+    def test_lower_triangular_positive_diagonal(self, cholesky_factor):
+        L = cholesky_factor(0.7, 64)
         assert np.allclose(L, np.tril(L))
         assert np.all(np.diag(L) > 0)
 
-    def test_white_noise_factor_is_identity(self):
-        L = covariance_factor(HurstParam.permissive(0.5), 32)
+    def test_white_noise_factor_is_identity(self, cholesky_factor):
+        L = cholesky_factor(0.5, 32)
         assert np.array_equal(L, np.eye(32))
 
-    def test_two_by_two_by_hand(self):
+    def test_two_by_two_by_hand(self, cholesky_factor):
         # r(1) = 0.5 * (2**1.4 - 2); L = [[1, 0], [r1, sqrt(1 - r1^2)]]
         r1 = 0.3195079107728942
-        L = covariance_factor(HurstParam(0.7), 2)
+        L = cholesky_factor(0.7, 2)
         assert L[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert L[0, 1] == 0.0
         assert L[1, 0] == pytest.approx(r1, rel=1e-12)
         assert L[1, 1] == pytest.approx(np.sqrt(1 - r1**2), rel=1e-12)
 
-    def test_cached_factor_is_read_only(self):
-        L = covariance_factor(HurstParam(0.7), 16)
-        with pytest.raises(ValueError, match="read-only"):
-            L[0, 0] = 2.0
-        assert covariance_factor(HurstParam(0.7), 16)[0, 0] == 1.0
-
-    @pytest.mark.parametrize("n", [1, 4097])
-    def test_rejects_out_of_range_n(self, n):
-        with pytest.raises(ValueError):
-            covariance_factor(HurstParam(0.7), n)
-
 
 class TestExactFgn:
-    def test_white_noise_is_untouched_normals(self):
-        h = HurstParam.permissive(0.5)
-        a = exact_fgn(h, 128, make_rng(5)).values
-        b = make_rng(5).standard_normal(128)
-        assert np.allclose(a, b, rtol=1e-12)
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    @pytest.mark.parametrize("hval", [0.5, 0.55, 0.8, 0.95])
+    def test_covariance_is_exact(self, hval, n):
+        # the path is linear in the normals, so its covariance is A A^T
+        h = HurstParam.permissive(hval)
+        A = embedding_map(h, n)
+        sigma = toeplitz(fgn_autocorrelation(h, np.arange(n)))
+        assert np.abs(A @ A.T - sigma).max() <= 1e-12
+
+    def test_covariance_matches_cholesky_reference(self, cholesky_factor):
+        A = embedding_map(HurstParam(0.8), 64)
+        L = cholesky_factor(0.8, 64)
+        assert np.abs(A @ A.T - L @ L.T).max() <= 1e-12
+
+    def test_draw_order_real_then_imaginary(self):
+        # 4n normals in all: the first 2n scale cosines (x_0 = sqrt(eig_c / 2n)),
+        # the last 2n scale sines (x_0 = 0)
+        n = 16
+        A = embedding_map(HurstParam(0.7), n)
+        assert np.all(A[0, :2 * n] > 0)
+        assert np.abs(A[0, 2 * n:]).max() <= 1e-15
+        rng = make_rng(3)
+        exact_fgn(HurstParam(0.7), n, rng)
+        after = make_rng(3)
+        after.standard_normal(4 * n)
+        assert rng.random() == after.random()
+
+    def test_negative_eigenvalue_raises_one_line(self):
+        # cancellation in r(k) at large lags for h this close to 1; the
+        # Cholesky oracle this generator replaced failed here too
+        with pytest.raises(ValueError, match="negative eigenvalue") as excinfo:
+            exact_fgn(HurstParam(1 - 1e-9), 1024, make_rng(0))
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert f"h={1 - 1e-9}" in message and "n=1024" in message
+
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError):
+            exact_fgn(HurstParam(0.7), 1, make_rng(0))
 
     def test_lag_one_correlation_matches_formula(self):
         # mean lag-1 correlation over 200 replicates approaches

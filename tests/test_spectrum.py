@@ -15,10 +15,9 @@ from fgn_toolkit import (
     fgn_autocorrelation,
     fgn_power_spectrum,
     spectrum_b,
-    spectrum_factor_a,
 )
 from fgn_toolkit import spectrum
-from fgn_toolkit.spectrum import EXACT, FAST, NEAR_EXACT, _Shape
+from fgn_toolkit.spectrum import EXACT, FAST, NEAR_EXACT, _Shape, spectrum_factor_a
 
 # Error-bound evaluation grid: h values by column of the published error
 # curves, lambda from 0.01 out to 3.0 in steps of 0.3.

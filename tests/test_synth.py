@@ -9,14 +9,13 @@ from fgn_toolkit import (
     SpectrumGrid,
     Trace,
     build_spectrum_grid,
-    fuzz_spectrum,
     make_rng,
     periodogram,
-    random_phase_complexify,
     rescale_trace,
     synthesize_fgn,
     whittle_estimate,
 )
+from fgn_toolkit.synth import fuzz_spectrum, random_phase_complexify
 
 K3 = BMode.truncated(3)
 
