@@ -165,11 +165,16 @@ def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
 
 
 def rescale_trace(t: Trace, target_mean: float, target_sd: float) -> Trace:
-    """Affine map of a trace to the requested sample mean and sd (ddof=1)."""
+    """Affine map of a trace to the requested sample mean and sd (ddof=1).
+
+    Raises ``ValueError``, with no numpy warning first, when a rescaled
+    value overflows.
+    """
     if target_sd <= 0:
         raise ValueError("target standard deviation must be positive")
     sd = t.sd()
     if sd == 0.0:
         raise ValueError("cannot rescale a constant trace")
-    values = (t.values - t.mean()) * (target_sd / sd) + target_mean
+    with np.errstate(over="ignore", invalid="ignore"):  # the Trace check reports it
+        values = (t.values - t.mean()) * (target_sd / sd) + target_mean
     return Trace(values, t.provenance)

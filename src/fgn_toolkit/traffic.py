@@ -129,14 +129,18 @@ def counts_to_interarrivals(
     spread: str = "uniform",
     rng: np.random.Generator | None = None,
 ) -> InterarrivalSeq:
-    """Place each bin's arrivals inside its half-open interval.
+    """Place each bin's arrivals inside its half-open interval, up to rounding.
 
     ``spread="uniform"`` draws sorted i.i.d. uniform positions (needs
     ``rng``); ``spread="even"`` places count c at offsets (j + 0.5)/c,
     j = 0..c-1, centering constant gaps away from bin edges.  The output
     always contains exactly sum(counts) strictly increasing times; exact
     floating-point ties in uniform mode are broken by a one-ulp nudge.
-    Raises ``ValueError`` before allocating when the total exceeds 2**31.
+    A uniform time is fl(fl(b w) + fl(u w)) for bin b and width w, which
+    for u within a few ulps of 1 can exceed fl((b + 1) w), the bin's end:
+    a chance of order 1e-16 per arrival, with strict increase kept.
+    Raises ``ValueError`` before allocating when the total exceeds 2**31
+    or when the last bin's end, len(counts) * bin_width, overflows.
 
     The times are written into one preallocated array, one block of
     ``_BLOCK_BINS`` bins at a time, so each block's arithmetic and sort
@@ -157,6 +161,8 @@ def counts_to_interarrivals(
         raise ValueError(f"{total:.3g} arrivals exceed the limit of {_MAX_ARRIVALS} (2**31)")
     if total == 0:
         return InterarrivalSeq(np.empty(0))
+    if not np.isfinite(counts.size * width):
+        raise ValueError(f"{counts.size} bins of width {width:g} end past the largest float")
     uniform = spread == "uniform"
     if uniform and rng is None:
         raise ValueError("uniform spreading needs a random generator")

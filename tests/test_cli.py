@@ -361,6 +361,117 @@ class TestSpectrumTable:
         assert err == ["error: lambda grid steps must be at most 65536, got 1000000000000000"]
 
 
+
+def one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def host_refuses(nbytes):
+    """Whether this host refuses an nbytes allocation outright.
+
+    Linux under heuristic (0) or strict (2) overcommit refuses at once any
+    one allocation above RAM plus swap, so numpy raises MemoryError without
+    touching memory.  Anywhere else the size might really be committed.
+    """
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as f:
+            policy = f.read().strip()
+        with open("/proc/meminfo") as f:
+            kib = {line.split(":")[0]: int(line.split()[1]) for line in f}
+    except (OSError, ValueError, IndexError):
+        return False
+    return policy in ("0", "2") and nbytes > 1024 * (kib["MemTotal"] + kib["SwapTotal"])
+
+
+class TestFlagContract:
+    """Each flag is checked by the parser, and each failure is one stderr line."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sd", "nan", "--sd must be finite and positive, got nan"),
+        ("--sd", "inf", "--sd must be finite and positive, got inf"),
+        ("--mean", "inf", "--mean must be finite, got inf"),
+        ("--mean", "nan", "--mean must be finite, got nan"),
+        ("--n", "abc", "argument --n: invalid int value: 'abc'"),
+        ("--seed", "abc", "argument --seed: invalid int value: 'abc'"),
+        ("--mode", "k:0", "B mode needs at least one term, got 0"),
+    ], ids=["sd-nan", "sd-inf", "mean-inf", "mean-nan", "n-abc", "seed-abc", "mode-k0"])
+    def test_bad_synth_flag(self, tmp_path, capsys, flag, value, message):
+        full = {"--n": "16", "--hurst": "0.8", "--seed": "1", flag: value,
+                "--out": str(tmp_path / "t")}
+        assert run("synth", *[x for kv in full.items() for x in kv]) == 2
+        assert one_error_line(capsys) == f"error: {message}"
+        assert not (tmp_path / "t").exists()
+
+    def test_scale_out_of_range_exits_2(self, tmp_path, capsys):
+        # the flag is finite, but the rescaled values are not
+        assert run("synth", "--n", "16", "--hurst", "0.8", "--seed", "1", "--sd", "1e308",
+                   "--out", str(tmp_path / "t")) == 2
+        assert one_error_line(capsys) == "error: trace values must all be finite"
+
+    def test_missing_required_flag(self, capsys):
+        assert run("synth", "--hurst", "0.8", "--out", "t.txt") == 2
+        assert one_error_line(capsys) == "error: the following arguments are required: --n"
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["synth", "--n", "16", "--hurst", "0.8",
+                                                      "--out", "t.txt", "--format", "csv"]])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        assert run(*argv) == 2
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
+    def test_bad_bin_width(self, tmp_path, capsys, width):
+        path = tmp_path / "t.txt"
+        write_values(path, [1.0, 2.0, 3.0, 4.0])
+        # "--bin-width -inf" would read -inf as an option: the = form passes it as a value
+        assert run("convert", "--in", str(path), f"--bin-width={width}",
+                   "--out", str(tmp_path / "c.txt")) == 2
+        want = f"error: --bin-width must be finite and positive, got {float(width)}"
+        assert one_error_line(capsys) == want
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed must be nonnegative, got -1"),
+        ("--mean", "nan", "--mean must be finite, got nan"),
+        ("--sd", "inf", "--sd must be finite and positive, got inf"),
+    ], ids=["seed", "mean", "sd"])
+    def test_convert_flags_checked_for_counts_too(self, tmp_path, capsys, flag, value, message):
+        # --seed only seeds --emit interarrivals, and a non-finite --mean or --sd
+        # used to exit 4 as a degenerate trace
+        path = tmp_path / "t.txt"
+        write_values(path, [1.0, 2.0, 3.0, 4.0])
+        assert run("convert", "--in", str(path), "--emit", "counts", flag, value,
+                   "--out", str(tmp_path / "c.txt")) == 2
+        assert one_error_line(capsys) == f"error: {message}"
+
+    def test_max_lag_checked_for_every_analysis(self, tmp_path, capsys, rng):
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(64))
+        assert run("analyze", "--in", str(path), "--what", "vt", "--max-lag", "0") == 2
+        assert one_error_line(capsys) == "error: --max-lag must be at least 1, got 0"
+
+    @pytest.mark.parametrize("grid", ["0.1:nan:5", "nan:3.0:5", "nan:nan:5"])
+    def test_nan_lambda_grid(self, capsys, grid):
+        assert run("spectrum", "--hurst", "0.8", "--lambda-grid", grid) == 2
+        assert one_error_line(capsys) == "error: lambda grid must lie within (0, pi]"
+
+    def test_spectrum_mode_beyond_any_array(self, capsys):
+        assert run("spectrum", "--hurst", "0.8", "--mode", "k:" + "1" * 30) == 2
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv, nbytes", [
+        (["synth", "--n", "100000000000000", "--hurst", "0.8"], 4e14),  # 364 TiB
+        (["synth", "--n", "16", "--hurst", "0.8", "--mode", "partial:100000000000"], 8e11),
+        (["synth", "--n", "16", "--hurst", "0.8", "--mode", "k:100000000000"], 1.28e13),
+    ], ids=["n", "partial", "k"])
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, argv, nbytes):
+        # only sizes numpy asks for and the host refuses before touching memory
+        if not host_refuses(nbytes):
+            pytest.skip("this host might commit the allocation")
+        assert run(*argv, "--seed", "1", "--out", str(tmp_path / "t")) == 2
+        assert one_error_line(capsys).startswith("error: Unable to allocate")
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(child_env):
     # fresh interpreters that find the package where this test found it;
     # the package needs scipy.special only

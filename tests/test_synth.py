@@ -146,6 +146,11 @@ class TestRescaleTrace:
         with pytest.raises(ValueError):
             rescale_trace(Trace(np.full(100, 3.0)), 0.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_numpy_warning(self, rng):
+        with pytest.raises(ValueError, match="finite"):
+            rescale_trace(Trace(rng.standard_normal(64)), 0.0, 1e308)
+
     def test_whittle_estimate_unchanged(self, synth_cache):
         t = synth_cache(0.7, 8192, 5)
         before = whittle_estimate(t, K3).h_hat

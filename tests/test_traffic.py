@@ -186,6 +186,14 @@ class TestCountsToInterarrivals:
         with pytest.raises(ValueError, match="arrivals exceed"):
             counts_to_interarrivals(ArrivalTrace(np.array(counts), 1.0), "even")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_rejects_bins_ending_past_the_largest_float(self, spread):
+        # the times would overflow to inf, with numpy overflow warnings first
+        a = ArrivalTrace(np.array([1, 2, 1]), 1e308)
+        with pytest.raises(ValueError, match="3 bins of width 1e\\+308 end past the largest"):
+            counts_to_interarrivals(a, spread, rng=make_rng(1))
+
     def test_uniform_requires_rng(self):
         with pytest.raises(ValueError):
             counts_to_interarrivals(ArrivalTrace(np.array([3]), 1.0), "uniform")
