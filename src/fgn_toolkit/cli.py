@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import analyze, traffic
-from .estimate import whittle_estimate
+from .estimate import _H_HI, _H_LO, whittle_estimate
 from .spectrum import NEAR_EXACT, BMode, HurstParam, _spectrum_from_b, spectrum_b
 from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
 from .traceio import FORMATS, _write_lines, read_trace, write_trace
@@ -149,7 +149,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if result.at_boundary:
         print(
             f"warning: estimate {result.h_hat:.4f} converged to a search boundary "
-            "of [0.501, 0.999]; the true value may lie outside (0.5, 1)",
+            f"of [{_H_LO:g}, {_H_HI:g}]; the true value may lie outside (0.5, 1)",
             file=sys.stderr,
         )
         return _EXIT_BOUNDARY
@@ -220,12 +220,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     h, lams, mode = args.hurst, args.lambda_grid, args.mode
-    try:
-        # spectrum reads no trace: only a --mode too large to build fails here
-        b_vals = np.atleast_1d(spectrum_b(h, lams, mode))
-        b_ref = b_vals if mode == NEAR_EXACT else np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    b_vals = np.atleast_1d(spectrum_b(h, lams, mode))
+    b_ref = b_vals if mode == NEAR_EXACT else np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
     f_vals = _spectrum_from_b(lams, h.h, b_vals)
     rel_err = (b_vals - b_ref) / b_ref
     _write_csv(args.out, "lambda,f,B,rel_err_vs_partial10000", lams, f_vals, b_vals, rel_err)
@@ -255,8 +251,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="Whittle estimate of the Hurst parameter")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", type=mode, default="fast")
-    p.add_argument("--tol", type=_number(float, "--tol", lambda v: v >= 1e-6, "at least 1e-6"),
-                   default=0.001)
+    width = _H_HI - _H_LO  # a wider tol ends the search at its first point
+    p.add_argument("--tol", default=0.001, type=_number(
+        _number(float, "--tol", lambda v: v >= 1e-6, "at least 1e-6"),
+        "--tol", lambda v: v < width, f"below the search width {width:g}"))
     p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=_cmd_estimate)
 

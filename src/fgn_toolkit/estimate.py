@@ -191,8 +191,9 @@ def _brent_minimize(fun, a: float, b: float, tol: float):
 def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult:
     """Estimate h by Brent minimization of the Whittle objective on [0.501, 0.999].
 
-    The search stops once its bracket is narrower than ``tol`` and returns
-    the best h it evaluated, with the objective already computed there;
+    The search stops once its bracket is narrower than ``tol``, which must be
+    in [1e-6, 0.498) (a tol as wide as the interval would stop it at its
+    first point), and returns the best h it evaluated, with its objective;
     ``evaluations`` counts the objective evaluations of the search (not
     those of sigma_h).  Runs are deterministic.  ``at_boundary`` is set
     (never silently clamped) when the search's final bracket still reaches
@@ -202,8 +203,8 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     boundary.  The objective's lam-only factors and work buffers are built
     once per estimate (see ``_Workspace``) and freed with it.
     """
-    if not tol >= 1e-6:  # also rejects nan, which would never end the search
-        raise ValueError(f"tolerance must be at least 1e-6, got {tol}")
+    if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
+        raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
     if np.ptp(t.values) == 0.0:
         raise ValueError("degenerate (constant) trace")
     ws = _Workspace(periodogram(t), mode)

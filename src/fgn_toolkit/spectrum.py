@@ -320,18 +320,21 @@ class _Shape:
         # two work rows, each with room for a partial-sum block or a grid array
         self.work = np.empty((2, max(lam.size, _BLOCK_ELEMENTS)))
         self.scratch = self.work[0, : lam.size]
-        if mode.kind == "partial":
-            # rows j of a partial-sum block; each column of a chunk owns ``rows`` work columns
-            self.rows = min(mode.terms, self.work.shape[1] // max(lam.size, 1))
-            self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)[:, None]
-            powers = 2 * mode.terms
-        else:  # log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1
-            self.rows = 1
-            plus, minus = self.logs = np.empty((2, mode.terms + 1, lam.size))
-            for j, tp in enumerate(2.0 * np.pi * np.arange(1, mode.terms + 2)):
-                np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
-                np.log(np.subtract(tp, lam, out=minus[j]), out=minus[j])
-            powers = 2 * mode.terms + 4
+        try:  # numpy refuses some sizes with a ValueError, not a MemoryError
+            if mode.kind == "partial":
+                # rows j of a partial-sum block; a chunk's column owns ``rows`` work columns
+                self.rows = min(mode.terms, self.work.shape[1] // max(lam.size, 1))
+                self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)[:, None]
+                powers = 2 * mode.terms
+            else:  # log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1
+                self.rows = 1
+                plus, minus = self.logs = np.empty((2, mode.terms + 1, lam.size))
+                for j, tp in enumerate(2.0 * np.pi * np.arange(1, mode.terms + 2)):
+                    np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
+                    np.log(np.subtract(tp, lam, out=minus[j]), out=minus[j])
+                powers = 2 * mode.terms + 4
+        except ValueError as exc:
+            raise MemoryError(f"B mode {mode} cannot be built on {lam.size} frequencies: {exc}")
         self.dprime = _DPRIME_K1 + _DPRIME_K2 * lam if mode.kind == "doubleprime" else None
         # powers one call takes: what sets how many chunks it is worth
         self.powers = powers * lam.size

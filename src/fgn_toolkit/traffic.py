@@ -7,7 +7,8 @@ Real values then become integer per-bin counts, and counts become event
 times within their bins, spread uniformly (approximately exponential
 interarrivals) or evenly (constant interarrivals).  Event times are
 written into one preallocated array a block of bins at a time, so the
-conversion's peak memory is little more than its output.
+conversion's peak memory is little more than its output; one pass over
+that array then checks their order once and nudges ties in both spreads.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def counts_to_interarrivals(
     ``spread="uniform"`` draws sorted i.i.d. uniform positions (needs
     ``rng``); ``spread="even"`` places count c at offsets (j + 0.5)/c,
     j = 0..c-1, centering constant gaps away from bin edges.  The output
-    always contains exactly sum(counts) strictly increasing times; exact
-    floating-point ties in uniform mode are broken by a one-ulp nudge.
+    always contains exactly sum(counts) strictly increasing times, checked
+    once by ``_break_ties``, which breaks an exact tie in either spread by a
+    one-ulp nudge (an even tie needs over 2**22 bins before a bin of ~2**31).
     A uniform time is fl(fl(b w) + fl(u w)) for bin b and width w, which
     for u within a few ulps of 1 can exceed fl((b + 1) w), the bin's end:
     a chance of order 1e-16 per arrival, with strict increase kept.
@@ -149,8 +151,7 @@ def counts_to_interarrivals(
     Uniform mode fills the whole array from ``rng`` first (the stream of
     ``rng.random(total)``), then scales, shifts and sorts block by block.
     Bins are disjoint and ordered, so the block sorts give the bits of one
-    global sort; the rare time that rounds past the next block's first
-    time is caught at the block edge and merged by a global sort.
+    global sort but for the rare time rounded past the next block's first.
     """
     if spread not in ("uniform", "even"):
         raise ValueError(f"spread must be 'uniform' or 'even', got {spread!r}")
@@ -170,7 +171,6 @@ def counts_to_interarrivals(
     if uniform:
         rng.random(out=times)
     edges = range(0, counts.size, _BLOCK_BINS)
-    tied = []
     stop = 0
     for b0, size in zip(edges, np.add.reduceat(counts, edges).tolist()):
         start, stop = stop, stop + size
@@ -183,8 +183,6 @@ def counts_to_interarrivals(
             seg *= width
             seg += starts
             seg.sort()
-            if np.any(seg[1:] <= seg[:-1]) or (start and seg[0] <= times[start - 1]):
-                tied.append((start, stop))
         else:
             # index of each event within its bin, exact in float64 below 2**53
             np.subtract(np.arange(size, dtype=float),
@@ -193,27 +191,26 @@ def counts_to_interarrivals(
             seg *= width
             seg /= np.repeat(c.astype(float), c)
             seg += starts
-    if tied:
-        _break_ties(times, tied)
-    return InterarrivalSeq(times)
+    _break_ties(times)
+    seq = object.__new__(InterarrivalSeq)  # _break_ties has made and checked the order
+    object.__setattr__(seq, "times", times)
+    return seq
 
 
-def _break_ties(times: np.ndarray, blocks: list[tuple[int, int]]) -> None:
-    """Raise each time not above its predecessor to the next float, left to right.
+def _break_ties(times: np.ndarray) -> None:
+    """Make ``times`` strictly increasing: the one check of their order.
 
-    ``blocks`` lists the (start, stop) ranges whose sorted times tie, or
-    whose first time does not exceed the previous block's last.  Only
-    those ranges can hold a tie before the sweep, and a nudge can only tie
-    the time after it, so visiting their ties and the cascades that follow
-    gives the bits of a sweep over every time.
+    A pair out of order is a time rounded past a later bin's start (in
+    uniform mode, at a block edge) and sorts the whole array once.  Each
+    remaining tie is raised to the next float, left to right; a nudge can
+    only tie the time after it, so following each cascade gives the bits
+    of a sweep over every time.
     """
-    firsts = np.array([start for start, _ in blocks if start])
-    if firsts.size and np.any(times[firsts] < times[firsts - 1]):
+    ties = np.flatnonzero(times[1:] <= times[:-1]) + 1
+    if ties.size and np.any(times[ties] < times[ties - 1]):
         times.sort()
-        blocks = [(0, times.size)]
-    for start, stop in blocks:
-        lo = max(start, 1)
-        for i in (np.flatnonzero(times[lo:stop] <= times[lo - 1 : stop - 1]) + lo).tolist():
-            while i < times.size and times[i] <= times[i - 1]:
-                times[i] = np.nextafter(times[i - 1], np.inf)
-                i += 1
+        ties = np.flatnonzero(times[1:] <= times[:-1]) + 1
+    for i in ties.tolist():
+        while i < times.size and times[i] <= times[i - 1]:
+            times[i] = np.nextafter(times[i - 1], np.inf)
+            i += 1

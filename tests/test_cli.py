@@ -170,6 +170,15 @@ class TestEstimate:
         assert run("estimate", "--in", str(path), "--tol", "nan") == 2
         assert capsys.readouterr().err.splitlines() == ["error: --tol must be at least 1e-6, got nan"]
 
+    @pytest.mark.parametrize("tol", ["1", "inf"])
+    def test_tolerance_as_wide_as_the_search_exits_2(self, tmp_path, rng, capsys, tol):
+        # used to print the search's first point and exit 5
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(16))
+        assert run("estimate", "--in", str(path), "--tol", tol) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --tol must be below the search width 0.498, got {float(tol)}"]
+
 
 class TestAnalyze:
     def test_variance_time_csv_and_summary(self, tmp_path, capsys, synth_cache):
@@ -458,6 +467,15 @@ class TestFlagContract:
     def test_spectrum_mode_beyond_any_array(self, capsys):
         assert run("spectrum", "--hurst", "0.8", "--mode", "k:" + "1" * 30) == 2
         one_error_line(capsys)
+
+    @pytest.mark.parametrize("mode", ["k:" + "1" * 30, "k:100000000000000000",
+                                      "partial:" + "1" * 30])
+    def test_estimate_mode_beyond_any_array(self, tmp_path, rng, capsys, mode):
+        # used to exit 4 as "degenerate trace: Maximum allowed dimension exceeded"
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(16))
+        assert run("estimate", "--in", str(path), "--mode", mode) == 2
+        assert one_error_line(capsys).startswith(f"error: B mode {mode} cannot be built on 8 ")
 
     @pytest.mark.parametrize("argv, nbytes", [
         (["synth", "--n", "100000000000000", "--hurst", "0.8"], 4e14),  # 364 TiB

@@ -190,6 +190,12 @@ class TestWhittleEstimate:
         with pytest.raises(ValueError):
             whittle_estimate(Trace(rng.standard_normal(64)), K3, tol=float("nan"))
 
+    @pytest.mark.parametrize("tol", [0.498, 0.5, float("inf")])
+    def test_rejects_tolerance_as_wide_as_the_search(self, rng, tol):
+        # such a tol stopped the search at its first golden-section point
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            whittle_estimate(Trace(rng.standard_normal(64)), K3, tol=tol)
+
     @pytest.mark.parametrize("mode", [K3, EXACT], ids=str)
     @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
     def test_lands_within_tol_of_dense_grid_argmin(self, synth_cache, h, mode):

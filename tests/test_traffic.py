@@ -289,3 +289,35 @@ class TestInterarrivalBlocks:
         got = counts_to_interarrivals(ArrivalTrace(counts, width), "uniform",
                                       rng=FixedUniforms(uniforms))
         assert np.array_equal(got.times, want)
+
+    def test_time_rounded_past_a_block_edge_and_a_tie_in_another_block(self):
+        # block 1 holds an exact tie; bin edge - 1's last time rounds past
+        # the next block's first time and equals that block's second, so
+        # the global sort that merges the edge makes a tie of its own
+        u_max = 1.0 - 2.0**-53
+        edge = 3 * BLOCK
+        width = next(w for w in 0.1 + np.arange(1000) / 1000
+                     if (edge - 1) * w + u_max * w > edge * w)
+        past = (edge - 1) * width + u_max * width
+        counts = np.zeros(edge + 1, dtype=np.int64)
+        counts[[0, BLOCK + 7, edge - 1, edge]] = [2, 3, 2, 2]
+        uniforms = np.array([0.2, 0.4, 0.25, 0.25, 0.75, 0.5, u_max, 0.0,
+                             (past - edge * width) / width])
+        want = out_of_place(counts, width, "uniform", uniforms)
+        assert want[3] == np.nextafter(want[2], np.inf)  # block 1's nudged tie
+        assert want[6] == edge * width  # the merged edge
+        assert want[7] == past and want[8] == np.nextafter(past, np.inf)  # the sort's tie
+        got = counts_to_interarrivals(ArrivalTrace(counts, width), "uniform",
+                                      rng=FixedUniforms(uniforms))
+        assert np.array_equal(got.times, want)
+
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_order_is_checked_once(self, spread, monkeypatch):
+        # the tie pass is the only check: the result skips InterarrivalSeq's own
+        def refuse(self):
+            raise AssertionError("InterarrivalSeq re-checked the order")
+
+        monkeypatch.setattr(traffic.InterarrivalSeq, "__post_init__", refuse)
+        counts = make_rng(24).integers(0, 9, size=2 * BLOCK + 3)
+        seq = counts_to_interarrivals(ArrivalTrace(counts, 0.37), spread, rng=make_rng(5))
+        assert np.all(seq.times[1:] > seq.times[:-1])
