@@ -100,8 +100,9 @@ def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
     base_var = float(np.var(t.values, ddof=1))
     if base_var == 0.0:
         raise ValueError("degenerate (constant) trace")
+    # level 1 is the trace itself, whose normalized variance is 1 by definition
     norm_vars = np.array(
-        [np.var(aggregate(t, int(m)).values, ddof=1) / base_var for m in levels]
+        [1.0] + [np.var(aggregate(t, int(m)).values, ddof=1) / base_var for m in levels[1:]]
     )
     slope = float(np.polyfit(np.log10(levels), np.log10(norm_vars), 1)[0])
     return VarianceTimeCurve(

@@ -1,10 +1,11 @@
 """Command line front end: synthesis, estimation, analysis, conversion.
 
 Exit codes: 0 success, 2 bad flags or domain errors (including sizes numpy
-cannot allocate), 3 I/O failure (including a trace file holding a non-finite
-value), 4 degenerate trace (including counts or arrival totals too large to
-represent), 5 estimate converged to a search boundary, 6 clamp fraction above
-10% under --strict.  Data and summaries go to stdout, diagnostics to stderr.
+cannot allocate, and --mean/--sd that rescale a trace past the float range),
+3 I/O failure (including a trace file holding a non-finite value), 4
+degenerate trace (including counts or arrival totals too large to represent),
+5 estimate converged to a search boundary, 6 clamp fraction above 10% under
+--strict.  Data and summaries go to stdout, diagnostics to stderr.
 Each flag is checked by its parser ``type=``, whatever the other flags say;
 every bad flag, argparse's own errors included, is one ``error:`` line with
 no usage dump.  :func:`main` alone turns an exception into an exit code.
@@ -190,7 +191,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     uniform = args.emit == "interarrivals" and args.spread == "uniform"
     seed = _resolve_seed(args.seed) if uniform else None
-    trace = _apply_rescale_flags(_load_trace(args.infile, args.format), args)
+    trace = _load_trace(args.infile, args.format)
+    try:
+        trace = _apply_rescale_flags(trace, args)
+    except ValueError as exc:
+        if trace.sd() == 0.0:  # a constant trace cannot be rescaled: the trace's fault
+            raise
+        raise _UsageError(f"--mean/--sd take the rescaled trace out of range: {exc}") from None
     if args.transform == "exp2":
         trace = traffic.exp2_transform(trace)
     with warnings.catch_warnings():

@@ -36,11 +36,28 @@ rule on 2048 points spanning (0, pi] (doubled by symmetry), using the same
 geometric-mean-normalized spectrum.  That is taken from centred log q:
 log f - log q = log A, whose h-only part the centring removes and whose
 lam-only part log(1 - cos omega) the h-derivative removes.
+
+Brent's search opens the same way on every trace.  Until it has three
+distinct points its parabola is degenerate, so its first three evaluations
+are golden-section steps on [0.501, 0.999] that never read the data: h at
+0.69122, then 0.80878, then 0.61856 or 0.88144, whichever side the first
+two point to.  The model side of an evaluation, q and the mean of log q,
+depends only on (n, mode, h), so ``whittle_estimate`` keeps it at those
+four points across estimates, in a process-wide memo (``_OpeningMemo``)
+with a 1 MiB budget.  Over the acceptance battery about a third of all
+evaluations fall there.  A hit skips the B sums, the power and the log;
+the ratio sum still runs over the estimate's own periodogram, so every
+result keeps its bits.  Later evaluations are not stored: their h depend
+on the data and rarely repeat, and a memo of every evaluated h would let
+those one-off points evict the opening ones.  An array as large as the
+budget (n >= 2^18) is never stored.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +78,10 @@ _H_HI = 1.0 - 1e-3
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SIGMA_GRID_POINTS = 2048
 _SIGMA_FD_STEP = 1e-4
+# Brent's first evaluations that never read the data, and the most bytes of
+# q the opening memo holds: the 8 arrays of n = 32768, 4 points in 2 modes
+_OPENING_EVALUATIONS = 3
+_OPENING_MEMO_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,15 +120,67 @@ class _Workspace:
     ``_Shape`` holds q's lam-only factors under the mode.  An evaluation
     writes q into ``q`` and uses the shape's scratch row, and allocates no
     array.
+
+    With ``opening`` set (only for a periodogram on ``_fourier_frequencies(n)``,
+    whose q depends on nothing but n, the mode and h) the workspace's first
+    ``_OPENING_EVALUATIONS`` evaluations go through the opening memo; it
+    counts them in ``evaluations``.
     """
 
-    def __init__(self, p: SpectrumGrid, mode: BMode) -> None:
+    def __init__(self, p: SpectrumGrid, mode: BMode, opening: bool = False) -> None:
         omc = _Shape.one_minus_cos(p.lambdas)
+        self.n = p.n
         self.scale = 2.0 * np.pi / p.n
         self.ords_over_omc = p.values / omc
         self.mean_log_omc = float(np.mean(np.log(omc)))
         self.shape = _Shape(p.lambdas, mode)
         self.q = np.empty_like(p.lambdas)
+        self.opening = opening
+        self.evaluations = 0
+
+
+class _OpeningMemo:
+    """q and the mean of log q at the opening points of Brent's search.
+
+    Keyed by (n, mode, h); each entry holds a read-only copy of q.  Shared
+    by every thread of the process under one lock.  Entries go least
+    recently used first once the next would take the memo past ``budget``
+    bytes, and an array of ``budget`` bytes or more is never stored.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self.entries: OrderedDict[tuple, tuple[np.ndarray, float]] = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[np.ndarray, float] | None:
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+            return entry
+
+    def put(self, key: tuple, q: np.ndarray, mean_log_q: float) -> None:
+        if q.nbytes >= self.budget:
+            return
+        q = q.copy()
+        q.setflags(write=False)
+        with self.lock:
+            if key in self.entries:  # another thread stored it first
+                return
+            while self.nbytes + q.nbytes > self.budget:
+                self.nbytes -= self.entries.popitem(last=False)[1][0].nbytes
+            self.entries[key] = (q, mean_log_q)
+            self.nbytes += q.nbytes
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.nbytes = 0
+
+
+_OPENING_MEMO = _OpeningMemo(_OPENING_MEMO_BYTES)
 
 
 def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
@@ -115,11 +188,19 @@ def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
 
     ``mode`` is the one ``ws`` was built for.
     """
-    q = ws.shape.q(h, ws.q)
     t = ws.shape.scratch
-    mean_log_s = ws.mean_log_omc + float(np.mean(np.log(q, out=t)))
+    key = (ws.n, mode, h) if ws.opening and ws.evaluations < _OPENING_EVALUATIONS else None
+    ws.evaluations += 1
+    entry = None if key is None else _OPENING_MEMO.get(key)
+    if entry is None:
+        q = ws.shape.q(h, ws.q)
+        mean_log_q = float(np.mean(np.log(q, out=t)))
+        if key is not None:
+            _OPENING_MEMO.put(key, q, mean_log_q)
+    else:
+        q, mean_log_q = entry
     sum_ords_over_s = float(np.sum(np.divide(ws.ords_over_omc, q, out=t)))
-    return ws.scale * math.exp(mean_log_s) * sum_ords_over_s
+    return ws.scale * math.exp(ws.mean_log_omc + mean_log_q) * sum_ords_over_s
 
 
 def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
@@ -201,16 +282,19 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     objective rising again beyond h_hat on that side; that is the expected
     outcome for white-noise-like input, whose true h sits at the 0.5
     boundary.  The objective's lam-only factors and work buffers are built
-    once per estimate (see ``_Workspace``) and freed with it.
+    once per estimate (see ``_Workspace``) and freed with it; the model
+    spectrum at the search's opening points is kept across estimates (see
+    the module docstring).
     """
     if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
         raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
     if np.ptp(t.values) == 0.0:
         raise ValueError("degenerate (constant) trace")
-    ws = _Workspace(periodogram(t), mode)
+    ws = _Workspace(periodogram(t), mode, opening=True)
     h_hat, objective, evaluations, bracket = _brent_minimize(
         lambda h: _objective(ws, h, mode), _H_LO, _H_HI, tol
     )
+    del ws  # its grid arrays go before sigma_h builds work rows of its own
     return WhittleResult(
         h_hat=h_hat,
         sigma_h=whittle_sigma(HurstParam(h_hat), t.n, mode),

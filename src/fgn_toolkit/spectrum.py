@@ -487,7 +487,7 @@ def build_spectrum_grid(h: HurstParam, n: int, mode: BMode) -> SpectrumGrid:
     """Spectrum sampled at the n/2 Fourier frequencies 2 pi j / n, j = 1..n/2.
 
     ``n`` is the length of the time-domain path to be synthesized and must
-    be even; the last frequency is exactly pi.
+    be even; the last frequency is pi, or for some n one ulp below it.
     """
     n = int(n)
     if n < 2 or n % 2 != 0:
@@ -497,5 +497,10 @@ def build_spectrum_grid(h: HurstParam, n: int, mode: BMode) -> SpectrumGrid:
 
 
 def _fourier_frequencies(n: int) -> np.ndarray:
-    """The Fourier frequencies 2 pi j / n, j = 1..n/2, of an even path length n."""
-    return 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
+    """The Fourier frequencies 2 pi j / n, j = 1..n/2, of an even path length n.
+
+    For some n (26, 52, 94, ...) 2 pi (n/2) / n rounds one ulp above pi,
+    outside the spectrum's domain; that last frequency is taken as pi.
+    """
+    lam = 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
+    return np.minimum(lam, np.pi, out=lam)

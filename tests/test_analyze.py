@@ -66,6 +66,20 @@ class TestVarianceTime:
         assert curve.m_levels[0] == 1
         assert curve.norm_vars[0] == 1.0
 
+    @pytest.mark.parametrize("n", [4096, 4097, 32768])
+    def test_level_one_equals_its_aggregate(self, synth_cache, rng, n):
+        # level 1 is taken as 1.0, not as the variance of a copy over base_var
+        t = synth_cache(0.8, n, 11) if n == 32768 else Trace(rng.standard_normal(n))
+        curve = variance_time_curve(t)
+        base_var = float(np.var(t.values, ddof=1))
+        norm_vars = np.array(
+            [np.var(aggregate(t, int(m)).values, ddof=1) / base_var for m in curve.m_levels]
+        )
+        slope = float(np.polyfit(np.log10(curve.m_levels), np.log10(norm_vars), 1)[0])
+        assert curve.norm_vars.tolist() == norm_vars.tolist()
+        assert curve.fitted_slope == slope
+        assert curve.implied_h == 1.0 + slope / 2.0
+
     def test_synthesized_path_implied_h(self, synth_cache):
         curve = variance_time_curve(synth_cache(0.7, 32768, 303))
         assert curve.implied_h == pytest.approx(0.7, abs=0.05)

@@ -309,6 +309,25 @@ class TestConvert:
         assert err_lines[-1].startswith("error: degenerate trace:")
         assert not any("Traceback" in line for line in err_lines)
 
+    def test_rescale_overflow_exits_2_naming_the_flags(self, tmp_path, capsys, rng):
+        # the trace is valid; the flags scale it past the float range
+        path = tmp_path / "t.txt"
+        write_values(path, rng.standard_normal(64))
+        assert run("convert", "--in", str(path), "--sd", "1e308",
+                   "--out", str(tmp_path / "c.txt")) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: --mean/--sd ")
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_constant_trace_with_sd_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        write_values(path, [2.0] * 8)
+        assert run("convert", "--in", str(path), "--sd", "2",
+                   "--out", str(tmp_path / "c.txt")) == 4
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == ["error: degenerate trace: cannot rescale a constant trace"]
+
     def test_bad_bin_width_exits_2(self, tmp_path, rng):
         path = tmp_path / "t.txt"
         write_values(path, rng.standard_normal(64))

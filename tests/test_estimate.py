@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,118 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 20 * grid_bytes
+
+
+class TestOpeningMemo:
+    """q at Brent's opening points, kept across estimates of equal length."""
+
+    MEMO = estimate._OPENING_MEMO
+
+    @staticmethod
+    def opening_points(n, mode):
+        # the search's first three evaluations, traced on a trace of length n
+        calls = []
+        objective = estimate._objective
+        estimate._objective = lambda ws, h, m: calls.append(h) or objective(ws, h, m)
+        try:
+            whittle_estimate(Trace(np.random.default_rng(1).standard_normal(n)), mode)
+        finally:
+            estimate._objective = objective
+        return calls[:3]
+
+    @pytest.mark.parametrize("mode", [K3, BMode.truncated_prime(), FAST, EXACT], ids=str)
+    def test_cold_warm_and_threaded_estimates_agree(self, synth_cache, mode):
+        t = synth_cache(0.75, 8192, 5)
+        self.MEMO.clear()
+        cold = whittle_estimate(t, mode)
+        assert len(self.MEMO.entries) == 3
+        warm = whittle_estimate(t, mode)
+        self.MEMO.clear()
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            results[i] = whittle_estimate(t, mode)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+        assert cold == warm == results[0] == results[1]
+
+    def test_memo_stays_within_its_budget(self, synth_cache):
+        self.MEMO.clear()
+        for n in (2**12, 2**15, 2**16, 2**17, 2**15):
+            whittle_estimate(synth_cache(0.7, n, 2), K3)
+            held = sum(q.nbytes for q, _ in self.MEMO.entries.values())
+            assert held == self.MEMO.nbytes <= self.MEMO.budget
+        # the 2^17 entries took most of the budget; the last estimate's three stayed
+        assert sum(key[0] == 2**15 for key in self.MEMO.entries) == 3
+
+    def test_concurrent_puts_keep_the_byte_count(self):
+        # more threads than CPUs, switching often, each storing and reading
+        # keys of its own and of the others past a small budget
+        memo = estimate._OpeningMemo(budget=10 * 800)
+        arrays = [np.full(100 * (1 + i % 3), float(i)) for i in range(16)]
+        failures = []
+
+        def worker(w):
+            try:
+                for r in range(2000):
+                    i = (w + r) % len(arrays)
+                    memo.put((i,), arrays[i], float(i))
+                    entry = memo.get(((i + 1) % len(arrays),))
+                    if entry is not None and entry[0][0] != entry[1]:
+                        failures.append(entry)
+            except Exception as exc:  # handed to the test's thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and not failures
+        held = sum(q.nbytes for q, _ in memo.entries.values())
+        assert held == memo.nbytes <= memo.budget
+
+    def test_estimate_of_2_18_stores_nothing(self, synth_cache):
+        self.MEMO.clear()
+        whittle_estimate(synth_cache(0.7, 2**18, 2), FAST)
+        assert not self.MEMO.entries and self.MEMO.nbytes == 0
+
+    def test_only_whittle_estimate_uses_the_memo(self, synth_cache):
+        p = periodogram(synth_cache(0.7, 4096, 8))
+        hs = self.opening_points(4096, K3)
+        self.MEMO.clear()
+        for h in hs:
+            whittle_objective(p, HurstParam(h), K3)
+            estimate._objective(estimate._Workspace(p, K3), h, K3)
+        assert not self.MEMO.entries
+
+    @pytest.mark.parametrize("mode", [FAST, EXACT], ids=str)
+    def test_hit_allocates_no_grid_array(self, synth_cache, mode):
+        p = periodogram(synth_cache(0.7, 2**16, 4))
+        self.MEMO.clear()
+        hs = self.opening_points(2**16, mode)
+        ws = estimate._Workspace(p, mode, opening=True)
+        assert all((p.n, mode, h) in self.MEMO.entries for h in hs)
+        tracemalloc.start()
+        try:
+            got = [estimate._objective(ws, h, mode) for h in hs]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.lambdas.nbytes // 16
+        assert got == [whittle_objective(p, HurstParam(h), mode) for h in hs]
 
 
 class TestWhittleEstimate:

@@ -1,10 +1,21 @@
 """Property tests over B modes and h, drawn by hypothesis."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fgn_toolkit import BMode, HurstParam, Trace, periodogram, spectrum_b, whittle_objective
+from fgn_toolkit import (
+    BMode,
+    HurstParam,
+    Trace,
+    periodogram,
+    spectrum_b,
+    whittle_estimate,
+    whittle_objective,
+)
 from fgn_toolkit import estimate
 
 MODES = st.one_of(
@@ -34,3 +45,33 @@ def test_spectrum_b_is_elementwise(mode, h, picks):
     alone = np.array([spectrum_b(HurstParam(h), lam[i], mode) for i in picks])
     assert np.array_equal(alone, full[picks])
     assert np.array_equal(spectrum_b(HurstParam(h), lam[picks], mode), full[picks])
+
+
+def brent_opening_points():
+    """The four h Brent's first three evaluations can take: golden-section
+    steps on [_H_LO, _H_HI], as long as its parabola has too few points."""
+    a, b, g = estimate._H_LO, estimate._H_HI, estimate._GOLDEN
+    first = a + g * (b - a)
+    second = first + g * (b - first)  # toward the longer side
+    # the third steps from the lower of the two into the longer side of the new bracket
+    return {first, second, second + g * (b - second), first + g * (a - first)}
+
+
+TRACES = hnp.arrays(
+    float,
+    st.integers(4, 128).map(lambda k: 2 * k),
+    elements=st.floats(-1e6, 1e6),
+).filter(lambda x: np.ptp(x) > 0)
+KINDS = st.sampled_from([BMode.truncated(3), BMode.truncated_prime(),
+                         BMode.truncated_double_prime(), BMode.partial(200)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=TRACES, mode=KINDS)
+def test_search_opens_on_data_free_points(values, mode):
+    calls = []
+    objective = estimate._objective
+    with mock.patch.object(estimate, "_objective",
+                           lambda ws, h, m: calls.append(h) or objective(ws, h, m)):
+        whittle_estimate(Trace(values), mode)
+    assert set(calls[:3]) <= brent_opening_points()

@@ -292,6 +292,17 @@ class TestBuildSpectrumGrid:
         with pytest.raises(ValueError):
             build_spectrum_grid(HurstParam(0.7), n, BMode.truncated(3))
 
+    def test_last_frequency_never_exceeds_pi(self):
+        # 2 pi (n/2) / n rounds above pi for n = 26, 52, 94, ...; other
+        # frequencies keep the bits of 2 pi j / n
+        for n in range(2, 4002, 2):
+            lam = spectrum._fourier_frequencies(n)
+            raw = 2.0 * np.pi * np.arange(1, n // 2 + 1, dtype=float) / n
+            assert lam[-1] <= np.pi and lam[-1] == min(raw[-1], np.pi)
+            assert np.array_equal(lam[:-1], raw[:-1])
+        grid = build_spectrum_grid(HurstParam(0.7), 26, BMode.truncated(3))
+        assert grid.lambdas[-1] == np.pi
+
     def test_values_match_pointwise_spectrum(self):
         h = HurstParam(0.8)
         grid = build_spectrum_grid(h, 64, FAST)
