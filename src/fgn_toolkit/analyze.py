@@ -151,12 +151,15 @@ def qq_points(t: Trace) -> np.ndarray:
     """Normal Q-Q data: shape (n, 2) of (theoretical, sample) quantiles.
 
     Sample values are sorted and paired with standard-normal quantiles at
-    plotting positions (i - 0.5)/n.
+    plotting positions (i - 0.5)/n.  A constant trace is rejected: its
+    sample quantiles have no spread to compare.
     """
     from scipy.special import ndtri  # here, so that importing the package skips scipy
 
     if t.n < 2:
         raise ValueError("Q-Q plot needs at least 2 samples")
+    if np.ptp(t.values) == 0.0:
+        raise ValueError("degenerate (constant) trace")
     theoretical = ndtri((np.arange(1, t.n + 1) - 0.5) / t.n)
     return np.column_stack([theoretical, np.sort(t.values)])
 

@@ -137,12 +137,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.infile, args.format)
-    if trace.n % 2:  # the periodogram takes an even length
-        print(f"note: odd trace length {trace.n}; estimating from the first {trace.n - 1} "
-              "values", file=sys.stderr)
-        trace = Trace(trace.values[:-1], trace.provenance)
+    loaded = _load_trace(args.infile, args.format)
+    # the periodogram takes an even length: an odd trace loses its last value
+    trace = Trace(loaded.values[:-1], loaded.provenance) if loaded.n % 2 else loaded
     result = whittle_estimate(trace, args.mode, tol=args.tol)
+    if trace is not loaded:  # noted once the estimate stands, so an error is the one stderr line
+        print(f"note: odd trace length {loaded.n}; estimating from the first {trace.n} values",
+              file=sys.stderr)
     print(
         f"h_hat={result.h_hat:.6f} sigma_h={result.sigma_h:.6f} "
         f"mode={result.mode} n={result.n}"

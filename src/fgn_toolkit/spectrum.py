@@ -45,18 +45,19 @@ one lam is the same whether it is evaluated alone or inside any grid.
 
 The private ``_Shape(lam, mode)`` is the only way into B.  It takes the
 lam-only factors once (log lam; the tail logs and the double-prime factor,
-or the term column and block size of a partial sum) and then writes B, or
+or 2 pi j for the terms of a partial sum) and then writes B, or
 q = lam^(-2h-1) + B with the power as exp(e log lam), for any h.  1 - cos lam
 is taken as 2 sin^2(lam/2), exact to the last bits at the lowest frequencies.
 
 Because every mode is elementwise, ``_Shape`` writes B and q over
 contiguous column ranges of lam, each with its own slices of the lam-only
 factors and its own work memory.  A call with at least twice
-``_MIN_CHUNK_POWERS`` powers runs one range per CPU the process may use, up
-to ``_MAX_CHUNKS``, on worker threads beside the calling thread; smaller
-calls, and every call in a one-CPU process, run serially.  The terms at
-each lam are added in the same order either way, so the result has the
-same bits whatever the chunking.
+``_MIN_CHUNK_POWERS`` powers on at least twice ``_MIN_CHUNK_COLUMNS``
+columns runs one range per CPU the process may use, up to ``_MAX_CHUNKS``,
+on worker threads beside the calling thread; smaller calls, and every call
+in a one-CPU process, run serially.  The terms at each lam are added in the
+same order either way, so the result has the same bits whatever the
+chunking.
 """
 
 from __future__ import annotations
@@ -87,17 +88,19 @@ _PRIME_OFFSET = -7.4
 _DPRIME_K1 = 1.0002
 _DPRIME_K2 = -0.000134
 
-# Elements per (terms, lam) block of a partial sum: enough rows to vectorize
-# over j on short grids, few enough that a block stays in cache.
-_BLOCK_ELEMENTS = 1 << 14
-
 # A call is split into chunks of at least this many powers (columns times
-# powers per column), and into at most _MAX_CHUNKS, one per available CPU.
-# Measured on a 2-vCPU host, two chunks beat one from about 2^19 powers
-# (doubleprime on 2^16 points: 1.4 -> 0.9 ms) and lost below about 2^18
-# (doubleprime on 16384 points: 0.41 -> 0.59 ms), where starting and joining
-# a thread costs more than the chunk saves.
+# powers per column) and this many columns, and into at most _MAX_CHUNKS,
+# one per available CPU.  Measured on a 2-vCPU host, two chunks beat one
+# from about 2^19 powers (doubleprime on 2^16 points: 1.4 -> 0.9 ms) and
+# lost below about 2^18 (doubleprime on 16384 points: 0.41 -> 0.59 ms),
+# where starting and joining a thread costs more than the chunk saves.
+# A partial sum costs each chunk a few ufunc calls per term whatever its
+# width: for partial:200 a second chunk run in turn added 1.3-1.7 ms (q on
+# 2048, 4096 and 8192 points: 5.3 -> 6.6, 9.5 -> 10.8, 16.8 -> 18.1 ms),
+# against about 3.9 ms of sums in a 2048-column chunk.  Two 1024-column
+# chunks lost to one whole 2048-point call (q 5.4-6.1 -> 7.7-10.6 ms).
 _MIN_CHUNK_POWERS = 1 << 18
+_MIN_CHUNK_COLUMNS = 2048
 _MAX_CHUNKS = 8
 
 
@@ -304,30 +307,27 @@ class _Shape:
 
     A call writes its result chunk by chunk over contiguous column ranges of
     lam (``_chunk``).  Each chunk reads its own slices of lam and of the
-    lam-only factors and works in its own region ``rows*c0 : rows*c1`` of
-    ``work``, so chunks share no written memory and the terms at each lam are
-    added in the same order whatever the chunking: the result has the same
-    bits.  A call with enough work runs one chunk per available CPU, all but
-    the first on short-lived threads (numpy releases the interpreter lock
-    inside each ufunc); a small call, or any call in a process with one CPU,
-    runs one chunk on the calling thread and starts no thread.
+    lam-only factors and works in its own columns ``c0:c1`` of the two rows
+    of ``work``, so chunks share no written memory and the terms at each lam
+    are added in the same order whatever the chunking: the result has the
+    same bits.  A call with enough work runs one chunk per available CPU, all
+    but the first on short-lived threads (numpy releases the interpreter
+    lock inside each ufunc); a small call, or any call in a process with one
+    CPU, runs one chunk on the calling thread and starts no thread.
     """
 
     def __init__(self, lam: np.ndarray, mode: BMode) -> None:
         self.lam = lam
         self.mode = mode
         self.log_lam = np.log(lam)
-        # two work rows, each with room for a partial-sum block or a grid array
-        self.work = np.empty((2, max(lam.size, _BLOCK_ELEMENTS)))
-        self.scratch = self.work[0, : lam.size]
+        # two work rows of len(lam); a chunk works in its own columns of both
+        self.work = np.empty((2, lam.size))
+        self.scratch = self.work[0]
         try:  # numpy refuses some sizes with a ValueError, not a MemoryError
-            if mode.kind == "partial":
-                # rows j of a partial-sum block; a chunk's column owns ``rows`` work columns
-                self.rows = min(mode.terms, self.work.shape[1] // max(lam.size, 1))
-                self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)[:, None]
+            if mode.kind == "partial":  # 2 pi j for j = 1..N
+                self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)
                 powers = 2 * mode.terms
             else:  # log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1
-                self.rows = 1
                 plus, minus = self.logs = np.empty((2, mode.terms + 1, lam.size))
                 for j, tp in enumerate(2.0 * np.pi * np.arange(1, mode.terms + 2)):
                     np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
@@ -355,8 +355,9 @@ class _Shape:
 
     def _chunks(self) -> list[tuple[int, int]]:
         """Column ranges of one call: as many as there are CPUs, up to
-        ``_MAX_CHUNKS``, each with at least ``_MIN_CHUNK_POWERS`` powers."""
-        count = self.powers // _MIN_CHUNK_POWERS
+        ``_MAX_CHUNKS``, each with at least ``_MIN_CHUNK_POWERS`` powers and
+        ``_MIN_CHUNK_COLUMNS`` columns."""
+        count = min(self.powers // _MIN_CHUNK_POWERS, self.lam.size // _MIN_CHUNK_COLUMNS)
         count = min(count, _MAX_CHUNKS, _cpu_count()) if count > 1 else 1
         size = self.lam.size
         return [(size * c // count, size * (c + 1) // count) for c in range(count)]
@@ -387,12 +388,11 @@ class _Shape:
     def _chunk(self, h: float, out: np.ndarray, power: bool, c0: int, c1: int) -> None:
         """B, plus lam^(-2h-1) when ``power``, into out[c0:c1].
 
-        Uses the columns' own slices of the lam-only factors and the work
-        region ``rows*c0 : rows*c1``, whose first row is also the scratch of
-        the power.
+        Uses the columns' own slices of the lam-only factors and of the two
+        work rows, whose first row is also the scratch of the power.
         """
         o = out[c0:c1]
-        work = self.work[:, self.rows * c0 : self.rows * c1]
+        work = self.work[:, c0:c1]
         if self.mode.kind == "partial":
             self._partial(h, self.lam[c0:c1], o, work)
         else:
@@ -402,34 +402,18 @@ class _Shape:
             if self.dprime is not None:
                 o *= self.dprime[c0:c1]
         if power:
-            _plus_power(self.log_lam[c0:c1], h, o, work[0, : c1 - c0])
+            _plus_power(self.log_lam[c0:c1], h, o, work[0])
 
     def _partial(self, h: float, lam: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-        """Raw partial sum, adding the terms at each lam in order j = 1..N.
-
-        The order is strict whatever the grid length or block size, so each
-        value depends on its own lam, h and N only.  ``work`` holds a block of
-        ``rows`` rows j by len(lam) columns, and a second one for the minus terms.
-        """
-        rows, d = self.rows, -2.0 * h - 1.0
-        block = work.reshape(2, rows, lam.size)
+        """Raw partial sum, adding the terms at each lam in order j = 1..N, so
+        each value depends on its own lam, h and N only."""
+        d = -2.0 * h - 1.0
+        t, u = work
         out.fill(0.0)
-        for j0 in range(0, self.mode.terms, rows):
-            tp = self.tp[j0 : j0 + rows]
-            terms, minus = block[:, : tp.shape[0]]
-            np.power(np.add(tp, lam, out=terms), d, out=terms)
-            np.power(np.subtract(tp, lam, out=minus), d, out=minus)
-            terms += minus
-            if rows == 1:  # one term per block: add it to the running sum
-                out += terms[0]
-                continue
-            terms[0] += out  # carry the running sum in as the block's first addend
-            # add.reduce sums the rows of a block in order, but a lone column
-            # pairwise; cumsum keeps a lone column in order.
-            if lam.size > 1:
-                np.add.reduce(terms, axis=0, out=out)
-            else:
-                out[:] = np.cumsum(terms, axis=0)[-1]
+        for tp in self.tp:
+            np.power(np.add(tp, lam, out=t), d, out=t)
+            t += np.power(np.subtract(tp, lam, out=u), d, out=u)
+            out += t
 
     def _truncated(self, h: float, logs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """First k terms plus the closed-form integral tail, powers as exp(e log x)."""

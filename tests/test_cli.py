@@ -152,6 +152,18 @@ class TestEstimate:
         write_values(path, [0.1, -0.4, 0.3])
         assert run("estimate", "--in", str(path)) == 4
 
+    @pytest.mark.parametrize("values", [[0.1], [0.1, -0.4, 0.3]], ids=["one", "three"])
+    def test_failed_odd_trace_prints_only_the_error(self, tmp_path, capsys, values):
+        # the odd-length note belongs to an estimate that stands: an exit-4
+        # error is the one stderr line
+        path = tmp_path / "odd.txt"
+        write_values(path, values)
+        assert run("estimate", "--in", str(path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: degenerate trace: ")
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_nonfinite_value_exits_3(self, tmp_path, capsys, bad):
         path = tmp_path / "t.txt"
@@ -219,6 +231,16 @@ class TestAnalyze:
         path = tmp_path / "c.txt"
         write_values(path, np.full(256, 1.0))
         assert run("analyze", "--in", str(path), "--what", "normality") == 4
+
+    def test_constant_trace_qq_exits_4_before_writing(self, tmp_path, capsys):
+        # r^2 of a constant trace's Q-Q points is 0/0: one error line, no CSV
+        path, out = tmp_path / "c.txt", tmp_path / "qq.csv"
+        write_values(path, np.full(256, 1.0))
+        assert run("analyze", "--in", str(path), "--what", "qq", "--out", str(out)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degenerate trace: degenerate (constant) trace\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("lag", ["-1", "0"])
     def test_bad_max_lag_exits_2_with_one_line(self, tmp_path, rng, capsys, lag):

@@ -397,6 +397,19 @@ class TestWhittleSigma:
         want = np.sqrt(4.0 * np.pi / (n * 2.0 * np.trapezoid(deriv**2, omega)))
         assert whittle_sigma(HurstParam(hval), n, mode) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("mode", [K3, FAST, EXACT], ids=str)
+    def test_peak_memory(self, mode):
+        # the spectrum's work rows are two arrays of the 2048-point grid in
+        # every mode, not rows sized for blocks of a partial sum
+        whittle_sigma(HurstParam(0.7), 32768, mode)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            whittle_sigma(HurstParam(0.7), 32768, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 8 * 2048
+
     def test_positive_and_finite_on_grid(self):
         for hval in np.linspace(0.51, 0.95, 12):
             v = whittle_sigma(HurstParam(hval), 1024, K3)

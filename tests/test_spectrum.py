@@ -364,6 +364,13 @@ class TestChunks:
         monkeypatch.setattr(spectrum, "_cpu_count", lambda: 1)
         assert len(_Shape(lam, FAST)._chunks()) == 1
 
+    def test_partial_chunks_keep_a_column_floor(self, monkeypatch):
+        # many powers per column on a short grid do not split it into chunks
+        # too narrow to pay for their threads
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 64)
+        assert len(_Shape(fourier_grid(4096), EXACT)._chunks()) == 1
+        assert len(_Shape(fourier_grid(32768), EXACT)._chunks()) == 8
+
     def test_many_threads_with_fast_switching_keep_bits(self):
         # more chunks than CPUs, switching threads every few microseconds: a
         # chunk writing outside its own columns or work region would show
