@@ -58,7 +58,19 @@ class NormalityReport:
     a2_statistic: float
     pass_at_5pct: bool
     n: int
-    standardized: bool = True
+
+
+def _variance(t: Trace) -> float:
+    """Sample variance (ddof=1) of a trace that has some to divide by.
+
+    Raises ``ValueError`` for a constant trace, which the variance alone
+    misses when the float mean is not the value (20 x 5.3e14), and for a
+    spread so small that every squared deviation is 0.
+    """
+    var = float(np.var(t.values, ddof=1))
+    if var == 0.0 or np.ptp(t.values) == 0.0:
+        raise ValueError("degenerate (constant) trace")
+    return var
 
 
 def default_m_levels(n: int) -> np.ndarray:
@@ -97,13 +109,14 @@ def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
         raise ValueError("aggregation levels must be strictly increasing and start at 1")
     if np.any(levels > t.n // 10):
         raise ValueError("every aggregation level must leave at least 10 points (m <= n/10)")
-    base_var = float(np.var(t.values, ddof=1))
-    if base_var == 0.0:
-        raise ValueError("degenerate (constant) trace")
+    base_var = _variance(t)
     # level 1 is the trace itself, whose normalized variance is 1 by definition
     norm_vars = np.array(
         [1.0] + [np.var(aggregate(t, int(m)).values, ddof=1) / base_var for m in levels[1:]]
     )
+    if not np.all(norm_vars > 0.0):  # e.g. a trace alternating between two values
+        m = levels[np.argmin(norm_vars)]
+        raise ValueError(f"the variance of the block means vanishes at level m={m}")
     slope = float(np.polyfit(np.log10(levels), np.log10(norm_vars), 1)[0])
     return VarianceTimeCurve(
         m_levels=levels,
@@ -141,8 +154,7 @@ def ad_normality_test(t: Trace) -> NormalityReport:
     """A^2 test of marginal normality at the 5% level, n >= 20."""
     if t.n < 20:
         raise ValueError("normality test needs at least 20 samples")
-    if float(np.std(t.values, ddof=1)) == 0.0:
-        raise ValueError("degenerate (constant) trace")
+    _variance(t)
     a2 = ad_statistic(t.values)
     return NormalityReport(a2_statistic=a2, pass_at_5pct=a2 < AD_CRITICAL_5PCT, n=t.n)
 
@@ -158,8 +170,7 @@ def qq_points(t: Trace) -> np.ndarray:
 
     if t.n < 2:
         raise ValueError("Q-Q plot needs at least 2 samples")
-    if np.ptp(t.values) == 0.0:
-        raise ValueError("degenerate (constant) trace")
+    _variance(t)
     theoretical = ndtri((np.arange(1, t.n + 1) - 0.5) / t.n)
     return np.column_stack([theoretical, np.sort(t.values)])
 
@@ -186,6 +197,7 @@ def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
     max_lag = int(max_lag)
     if max_lag < 0 or max_lag >= t.n / 4:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < n/4, got {max_lag}")
+    _variance(t)
     p = min(max_lag + 1, _ACF_BLOCK)
     m = -(-t.n // p)
     padded = np.zeros(m * p)
@@ -205,6 +217,4 @@ def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
         pair[:, :p] = pair[:, p:]
         np.matmul(blocks[: m - g - 1].T, blocks[g + 1 : m], out=pair[:, p:])
         np.sum(skew, axis=0, out=r[g * p : (g + 1) * p])
-    if r[0] == 0.0:
-        raise ValueError("degenerate (constant) trace")
     return r[: max_lag + 1] / r[0]

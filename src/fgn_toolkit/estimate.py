@@ -43,21 +43,20 @@ are golden-section steps on [0.501, 0.999] that never read the data: h at
 0.69122, then 0.80878, then 0.61856 or 0.88144, whichever side the first
 two point to.  The model side of an evaluation, q and the mean of log q,
 depends only on (n, mode, h), so ``whittle_estimate`` keeps it at those
-four points across estimates, in a process-wide memo (``_OpeningMemo``)
-with a 1 MiB budget.  Over the acceptance battery about a third of all
-evaluations fall there.  A hit skips the B sums, the power and the log;
-the ratio sum still runs over the estimate's own periodogram, so every
-result keeps its bits.  Later evaluations are not stored: their h depend
-on the data and rarely repeat, and a memo of every evaluated h would let
-those one-off points evict the opening ones.  An array as large as the
-budget (n >= 2^18) is never stored.
+four points across estimates, in a table per (n, mode) that the estimates
+fill themselves.  ``_opening_table`` holds the two most recently used
+tables (``functools.lru_cache``), and only for n <= 2^15, so they take at
+most 1 MiB.  Over the acceptance battery about a third of all evaluations
+fall there.  A hit skips the B sums, the power and the log; the ratio sum
+still runs over the estimate's own periodogram, so every result keeps its
+bits.  Later evaluations are not stored: their h depend on the data and
+rarely repeat.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +77,10 @@ _H_HI = 1.0 - 1e-3
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SIGMA_GRID_POINTS = 2048
 _SIGMA_FD_STEP = 1e-4
-# Brent's first evaluations that never read the data, and the most bytes of
-# q the opening memo holds: the 8 arrays of n = 32768, 4 points in 2 modes
+# Brent's first evaluations that never read the data, and the longest trace
+# whose q there is kept: 2 tables of 4 arrays of n/2 floats make 1 MiB
 _OPENING_EVALUATIONS = 3
-_OPENING_MEMO_BYTES = 1 << 20
+_OPENING_MAX_N = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -121,66 +120,32 @@ class _Workspace:
     writes q into ``q`` and uses the shape's scratch row, and allocates no
     array.
 
-    With ``opening`` set (only for a periodogram on ``_fourier_frequencies(n)``,
-    whose q depends on nothing but n, the mode and h) the workspace's first
-    ``_OPENING_EVALUATIONS`` evaluations go through the opening memo; it
-    counts them in ``evaluations``.
+    ``evaluations`` counts the evaluations.  Once ``whittle_estimate`` sets
+    ``table`` to an ``_opening_table`` (its periodogram is on
+    ``_fourier_frequencies(n)``, so q depends on nothing but n, the mode and
+    h), the first ``_OPENING_EVALUATIONS`` evaluations read q and its mean
+    log there, or store them on a miss.
     """
 
-    def __init__(self, p: SpectrumGrid, mode: BMode, opening: bool = False) -> None:
+    def __init__(self, p: SpectrumGrid, mode: BMode) -> None:
         omc = _Shape.one_minus_cos(p.lambdas)
-        self.n = p.n
         self.scale = 2.0 * np.pi / p.n
         self.ords_over_omc = p.values / omc
         self.mean_log_omc = float(np.mean(np.log(omc)))
         self.shape = _Shape(p.lambdas, mode)
         self.q = np.empty_like(p.lambdas)
-        self.opening = opening
+        self.table: dict | None = None
         self.evaluations = 0
 
 
-class _OpeningMemo:
-    """q and the mean of log q at the opening points of Brent's search.
+@functools.lru_cache(maxsize=2)
+def _opening_table(n: int, mode: BMode) -> dict[float, tuple[np.ndarray, float]]:
+    """h -> (read-only q, mean log q) at Brent's opening points for length n.
 
-    Keyed by (n, mode, h); each entry holds a read-only copy of q.  Shared
-    by every thread of the process under one lock.  Entries go least
-    recently used first once the next would take the memo past ``budget``
-    bytes, and an array of ``budget`` bytes or more is never stored.
+    Empty until estimates fill it.  A dict's get and set are atomic, so the
+    threads of a process share a table without a lock.
     """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self.entries: OrderedDict[tuple, tuple[np.ndarray, float]] = OrderedDict()
-        self.lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple[np.ndarray, float] | None:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                self.entries.move_to_end(key)
-            return entry
-
-    def put(self, key: tuple, q: np.ndarray, mean_log_q: float) -> None:
-        if q.nbytes >= self.budget:
-            return
-        q = q.copy()
-        q.setflags(write=False)
-        with self.lock:
-            if key in self.entries:  # another thread stored it first
-                return
-            while self.nbytes + q.nbytes > self.budget:
-                self.nbytes -= self.entries.popitem(last=False)[1][0].nbytes
-            self.entries[key] = (q, mean_log_q)
-            self.nbytes += q.nbytes
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-            self.nbytes = 0
-
-
-_OPENING_MEMO = _OpeningMemo(_OPENING_MEMO_BYTES)
+    return {}
 
 
 def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
@@ -189,14 +154,16 @@ def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
     ``mode`` is the one ``ws`` was built for.
     """
     t = ws.shape.scratch
-    key = (ws.n, mode, h) if ws.opening and ws.evaluations < _OPENING_EVALUATIONS else None
+    table = ws.table if ws.evaluations < _OPENING_EVALUATIONS else None
     ws.evaluations += 1
-    entry = None if key is None else _OPENING_MEMO.get(key)
+    entry = None if table is None else table.get(h)
     if entry is None:
         q = ws.shape.q(h, ws.q)
         mean_log_q = float(np.mean(np.log(q, out=t)))
-        if key is not None:
-            _OPENING_MEMO.put(key, q, mean_log_q)
+        if table is not None:
+            kept = q.copy()
+            kept.setflags(write=False)
+            table[h] = (kept, mean_log_q)
     else:
         q, mean_log_q = entry
     sum_ords_over_s = float(np.sum(np.divide(ws.ords_over_omc, q, out=t)))
@@ -211,10 +178,9 @@ def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
 def _brent_minimize(fun, a: float, b: float, tol: float):
     """Brent's bounded minimization of ``fun`` on [a, b].
 
-    Returns ``(x, fun(x), evaluations, (a, b))`` for the best point evaluated
-    and the final bracket, whose ends are a and b exactly where no evaluation
-    moved them.  Every
-    step is at least ``tol / 4`` long, and the loop stops once
+    Returns ``(x, fun(x), (a, b))`` for the best point evaluated and the
+    final bracket, whose ends are a and b exactly where no evaluation moved
+    them.  Every step is at least ``tol / 4`` long, and the loop stops once
     |x - m| <= tol / 2 - (b - a) / 2 for the bracket midpoint m, which
     implies b - a <= tol.
     """
@@ -223,12 +189,11 @@ def _brent_minimize(fun, a: float, b: float, tol: float):
     # x: best point so far; w: second best; v: the previous w
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = fun(x)
-    evaluations = 1
     d = e = 0.0  # last step, and the step before it
     while True:
         xm = 0.5 * (a + b)
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return x, fx, evaluations, (a, b)
+            return x, fx, (a, b)
         parabolic = False
         if abs(e) > tol1:
             # vertex of the parabola through (x, fx), (w, fw), (v, fv), as x + p / q
@@ -251,7 +216,6 @@ def _brent_minimize(fun, a: float, b: float, tol: float):
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = fun(u)
-        evaluations += 1
         if fu <= fx:
             if u >= x:
                 a = x
@@ -282,18 +246,21 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     objective rising again beyond h_hat on that side; that is the expected
     outcome for white-noise-like input, whose true h sits at the 0.5
     boundary.  The objective's lam-only factors and work buffers are built
-    once per estimate (see ``_Workspace``) and freed with it; the model
-    spectrum at the search's opening points is kept across estimates (see
-    the module docstring).
+    once per estimate (see ``_Workspace``) and freed with it; for n <= 2^15
+    the model spectrum at the search's opening points is kept across
+    estimates in an ``_opening_table`` (see the module docstring).
     """
     if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
         raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
     if np.ptp(t.values) == 0.0:
         raise ValueError("degenerate (constant) trace")
-    ws = _Workspace(periodogram(t), mode, opening=True)
-    h_hat, objective, evaluations, bracket = _brent_minimize(
+    ws = _Workspace(periodogram(t), mode)
+    if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
+        ws.table = _opening_table(t.n, mode)
+    h_hat, objective, bracket = _brent_minimize(
         lambda h: _objective(ws, h, mode), _H_LO, _H_HI, tol
     )
+    evaluations = ws.evaluations
     del ws  # its grid arrays go before sigma_h builds work rows of its own
     return WhittleResult(
         h_hat=h_hat,

@@ -1,10 +1,14 @@
-"""The command line's flag contract as a property, drawn by hypothesis.
+"""The command line's flag and trace contracts as properties, drawn by hypothesis.
 
-Each case gives one numeric flag a drawn text (nan, inf, -inf, -1, 0,
-1e308, a 30-digit integer or junk) beside tiny valid other flags and runs
-``main(argv)`` in-process.  The exit code must be documented, no traceback
-may escape, and a failing exit prints exactly one ``error:`` line.  Numpy
-warnings are errors here, so a warning printed before that line fails too.
+Each flag case gives one numeric flag a drawn text (nan, inf, -inf, -1, 0,
+1e308, a 30-digit integer or junk) beside tiny valid other flags; each
+trace case writes drawn trace contents (empty, one value, constant, odd
+length, comments, ``nan``/``inf`` text, magnitudes up to 1e300, ``rawf64``
+files of odd byte counts) and runs every command that reads a trace on
+them.  Both run ``main(argv)`` in-process.  The exit code must be
+documented, no traceback may escape, and a failing exit prints exactly one
+``error:`` line.  Numpy warnings are errors here, so a warning printed
+before that line fails too.
 """
 
 import contextlib
@@ -121,3 +125,80 @@ def test_trace_commands_exit_with_a_documented_code(work_dir, case, text):
         assert last.startswith("error: degenerate trace: ")
         # convert reports its clamp fraction before it can still fail
         assert all(line.startswith("clamp_fraction=") for line in before), err
+
+
+# drawn trace files: (values, with comments or not, format, junk bytes after raw values)
+NORMALS = st.tuples(st.integers(1, 48), st.integers(0, 300), st.integers(0, 2**32)).map(
+    lambda c: list(np.random.default_rng(c[2]).standard_normal(c[0]) * 10.0 ** c[1]))
+VALUES = st.one_of(
+    st.just([]),
+    st.floats(-1e300, 1e300).map(lambda v: [v]),  # one value
+    st.tuples(st.floats(-1e300, 1e300), st.integers(2, 48)).map(lambda c: [c[0]] * c[1]),
+    NORMALS,  # odd and even lengths, magnitudes 1 to 1e300
+    st.tuples(NORMALS, st.integers(0, 47), st.sampled_from(["nan", "inf", "-inf"])).map(
+        lambda c: c[0][: c[1]] + [float(c[2])] + c[0][c[1]:]),
+)
+TRACE_FILES = st.tuples(VALUES, st.booleans(), st.sampled_from(["text", "rawf64"]),
+                        st.integers(0, 7))
+# every command that reads a trace, each with tiny valid flags
+TRACE_COMMANDS = [
+    ["estimate", "--mode", "k:3"],
+    ["analyze", "--what", "vt"],
+    ["analyze", "--what", "normality"],
+    ["analyze", "--what", "qq"],
+    ["analyze", "--what", "acf", "--max-lag", "1"],
+    ["convert", "--out", "{dir}/counts.txt"],
+    ["convert", "--transform", "exp2", "--emit", "interarrivals", "--spread", "even",
+     "--out", "{dir}/even.txt"],
+    ["convert", "--transform", "exp2", "--mean", "3", "--sd", "0.5", "--emit", "interarrivals",
+     "--seed", "1", "--strict", "--out", "{dir}/ia.txt"],
+]
+
+
+def write_trace_file(path, values, comments, fmt, extra):
+    """``values`` as a trace file; ``extra`` junk bytes make a raw file's
+    length odd to 8, ``comments`` puts a comment line and a trailing
+    comment into a text file."""
+    if fmt == "rawf64":
+        path.write_bytes(np.array(values, dtype="<f8").tobytes() + b"\x01" * extra)
+        return
+    lines = [f"{v:.17g}" for v in values]
+    if comments:
+        lines = ["# fgn-toolkit v1", *lines[:1], "", "  # a comment line"] + [
+            line + "  # note" for line in lines[1:]]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(content=TRACE_FILES)
+@example(content=(list(np.random.default_rng(0).standard_normal(64) * 1e154), False, "text", 0))
+@example(content=([], False, "text", 0))
+@example(content=([], False, "rawf64", 3))
+@example(content=([2.5] * 9, True, "text", 0))
+@example(content=([1.0, float("nan"), 2.0, 3.0], False, "text", 0))
+@example(content=([5.3e14] * 20, False, "text", 0))  # a mean that rounds off the value
+@example(content=([1.0, -1.0] * 10, False, "rawf64", 0))  # block means of 2 all equal
+@example(content=([0.0, 5e-324] * 20, False, "text", 0))  # deviations that square to 0
+def test_trace_contents_exit_with_a_documented_code(work_dir, content):
+    values, comments, fmt, extra = content
+    write_trace_file(work_dir / "drawn", values, comments, fmt, extra)
+    for command in TRACE_COMMANDS:
+        argv = [arg.format(dir=work_dir) for arg in command]
+        argv += ["--in", str(work_dir / "drawn"), "--format", fmt]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert code in (0, 3, 4, 5, 6), (argv, lines)
+        errors = [line for line in lines if line.startswith("error: ")]
+        if code in (0, 5):
+            assert not errors, (argv, lines)
+            continue
+        assert len(errors) == 1 and lines[-1] == errors[0], (argv, lines)
+        # only convert's clamp fraction may come before its exit-4 error
+        before = lines[:-1]
+        assert not before or (argv[0] == "convert" and code == 4
+                              and all(line.startswith("clamp_fraction=") for line in before)), (
+            argv, lines)

@@ -147,9 +147,10 @@ class TestWorkspace:
 
 
 class TestOpeningMemo:
-    """q at Brent's opening points, kept across estimates of equal length."""
+    """q at Brent's opening points, kept across estimates of equal length in
+    ``_opening_table``: at most two (n, mode) tables, none for n > 2^15."""
 
-    MEMO = estimate._OPENING_MEMO
+    TABLE = staticmethod(estimate._opening_table)
 
     @staticmethod
     def opening_points(n, mode):
@@ -166,11 +167,11 @@ class TestOpeningMemo:
     @pytest.mark.parametrize("mode", [K3, BMode.truncated_prime(), FAST, EXACT], ids=str)
     def test_cold_warm_and_threaded_estimates_agree(self, synth_cache, mode):
         t = synth_cache(0.75, 8192, 5)
-        self.MEMO.clear()
+        self.TABLE.cache_clear()
         cold = whittle_estimate(t, mode)
-        assert len(self.MEMO.entries) == 3
+        assert len(self.TABLE(t.n, mode)) == 3
         warm = whittle_estimate(t, mode)
-        self.MEMO.clear()
+        self.TABLE.cache_clear()
         results = [None, None]
         start = threading.Barrier(2)
 
@@ -185,31 +186,40 @@ class TestOpeningMemo:
             th.join(timeout=120)
         assert not any(th.is_alive() for th in threads)
         assert cold == warm == results[0] == results[1]
+        assert self.TABLE.cache_info().currsize == 1 and len(self.TABLE(t.n, mode)) == 3
 
     def test_memo_stays_within_its_budget(self, synth_cache):
-        self.MEMO.clear()
+        # two tables of at most four arrays of n/2 floats, n <= 2^15: 1 MiB
+        self.TABLE.cache_clear()
         for n in (2**12, 2**15, 2**16, 2**17, 2**15):
+            before = self.TABLE.cache_info()
             whittle_estimate(synth_cache(0.7, n, 2), K3)
-            held = sum(q.nbytes for q, _ in self.MEMO.entries.values())
-            assert held == self.MEMO.nbytes <= self.MEMO.budget
-        # the 2^17 entries took most of the budget; the last estimate's three stayed
-        assert sum(key[0] == 2**15 for key in self.MEMO.entries) == 3
+            after = self.TABLE.cache_info()
+            assert after.currsize <= 2
+            if n > 2**15:  # no table looked up, none made
+                assert after == before
+        assert (after.misses, after.hits) == (2, 1)  # the last 2^15 estimate found its table
+        table = self.TABLE(2**15, K3)
+        assert len(table) == 3 and self.TABLE.cache_info().misses == 2
+        assert all(q.nbytes == 8 * 2**14 and not q.flags.writeable for q, _ in table.values())
 
-    def test_concurrent_puts_keep_the_byte_count(self):
-        # more threads than CPUs, switching often, each storing and reading
-        # keys of its own and of the others past a small budget
-        memo = estimate._OpeningMemo(budget=10 * 800)
-        arrays = [np.full(100 * (1 + i % 3), float(i)) for i in range(16)]
+    def test_concurrent_estimates_agree_with_serial_ones(self):
+        # more threads than CPUs, switching often, each estimating traces of
+        # three lengths in two modes, so tables are made and evicted under it
+        traces = [Trace(np.random.default_rng(n).standard_normal(n)) for n in (1024, 2048, 4096)]
+        jobs = [(t, mode) for t in traces for mode in (K3, FAST)]
+        self.TABLE.cache_clear()
+        expected = [whittle_estimate(t, mode) for t, mode in jobs]
+        self.TABLE.cache_clear()
         failures = []
 
         def worker(w):
             try:
-                for r in range(2000):
-                    i = (w + r) % len(arrays)
-                    memo.put((i,), arrays[i], float(i))
-                    entry = memo.get(((i + 1) % len(arrays),))
-                    if entry is not None and entry[0][0] != entry[1]:
-                        failures.append(entry)
+                for r in range(2 * len(jobs)):
+                    i = (w + r) % len(jobs)
+                    got = whittle_estimate(*jobs[i])
+                    if got != expected[i]:
+                        failures.append((i, got))
             except Exception as exc:  # handed to the test's thread
                 failures.append(exc)
 
@@ -220,34 +230,42 @@ class TestOpeningMemo:
             for th in threads:
                 th.start()
             for th in threads:
-                th.join(timeout=60)
+                th.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads) and not failures
-        held = sum(q.nbytes for q, _ in memo.entries.values())
-        assert held == memo.nbytes <= memo.budget
+        assert self.TABLE.cache_info().currsize <= 2
 
     def test_estimate_of_2_18_stores_nothing(self, synth_cache):
-        self.MEMO.clear()
+        self.TABLE.cache_clear()
         whittle_estimate(synth_cache(0.7, 2**18, 2), FAST)
-        assert not self.MEMO.entries and self.MEMO.nbytes == 0
+        assert self.TABLE.cache_info() == (0, 0, 2, 0)
+
+    def test_estimate_of_2_16_stores_nothing(self, synth_cache):
+        self.TABLE.cache_clear()
+        whittle_estimate(synth_cache(0.7, 2**16, 2), FAST)
+        assert self.TABLE.cache_info() == (0, 0, 2, 0)
 
     def test_only_whittle_estimate_uses_the_memo(self, synth_cache):
         p = periodogram(synth_cache(0.7, 4096, 8))
         hs = self.opening_points(4096, K3)
-        self.MEMO.clear()
+        self.TABLE.cache_clear()
         for h in hs:
             whittle_objective(p, HurstParam(h), K3)
             estimate._objective(estimate._Workspace(p, K3), h, K3)
-        assert not self.MEMO.entries
+        with pytest.raises(ValueError):  # a length the periodogram rejects makes no table
+            whittle_estimate(Trace(p.values[:7]), K3)
+        assert self.TABLE.cache_info() == (0, 0, 2, 0)
 
     @pytest.mark.parametrize("mode", [FAST, EXACT], ids=str)
     def test_hit_allocates_no_grid_array(self, synth_cache, mode):
-        p = periodogram(synth_cache(0.7, 2**16, 4))
-        self.MEMO.clear()
-        hs = self.opening_points(2**16, mode)
-        ws = estimate._Workspace(p, mode, opening=True)
-        assert all((p.n, mode, h) in self.MEMO.entries for h in hs)
+        p = periodogram(synth_cache(0.7, 2**15, 4))
+        self.TABLE.cache_clear()
+        hs = self.opening_points(2**15, mode)
+        table = self.TABLE(p.n, mode)
+        assert all(h in table for h in hs)
+        ws = estimate._Workspace(p, mode)
+        ws.table = table
         tracemalloc.start()
         try:
             got = [estimate._objective(ws, h, mode) for h in hs]
