@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synth import Trace
+from .synth import Trace, _is_constant
 
 __all__ = [
     "VarianceTimeCurve",
@@ -63,12 +63,10 @@ class NormalityReport:
 def _variance(t: Trace) -> float:
     """Sample variance (ddof=1) of a trace that has some to divide by.
 
-    Raises ``ValueError`` for a constant trace, which the variance alone
-    misses when the float mean is not the value (20 x 5.3e14), and for a
-    spread so small that every squared deviation is 0.
+    Raises ``ValueError`` for a constant trace (``synth._is_constant``).
     """
     var = float(np.var(t.values, ddof=1))
-    if var == 0.0 or np.ptp(t.values) == 0.0:
+    if _is_constant(t, var):
         raise ValueError("degenerate (constant) trace")
     return var
 

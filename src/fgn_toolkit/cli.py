@@ -26,7 +26,7 @@ import numpy as np
 from . import analyze, traffic
 from .estimate import _H_HI, _H_LO, whittle_estimate
 from .spectrum import NEAR_EXACT, BMode, HurstParam, _spectrum_from_b, spectrum_b
-from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
+from .synth import Trace, _is_constant, make_rng, rescale_trace, synthesize_fgn
 from .traceio import FORMATS, _write_lines, read_trace, write_trace
 
 __all__ = ["main"]
@@ -208,7 +208,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     try:
         trace = _apply_rescale_flags(trace, args)
     except ValueError as exc:
-        if trace.sd() == 0.0:  # a constant trace cannot be rescaled: the trace's fault
+        if _is_constant(trace, trace.sd()):  # the trace's fault, not the flags'
             raise
         raise _UsageError(f"--mean/--sd take the rescaled trace out of range: {exc}") from None
     if args.transform == "exp2":

@@ -24,10 +24,12 @@ Minimization is Brent's bounded method on h in [0.501, 0.999] (Brent,
 parabola through the three best points so far proposes each step, and a
 golden-section step replaces it when the parabola is not trusted.  The
 search stops once the bracket is narrower than ``tol`` (default 0.001) and
-returns the best point it evaluated.  At the default tol that takes 7-10
-objective evaluations for a minimum inside the interval and up to 15 for
-one at an end, where golden-section search always took 16.  The attached
-standard deviation sigma_h comes from the asymptotic variance
+returns the best point it evaluated.  At the default tol, over the
+acceptance battery (n = 32768), that takes 8-10 objective evaluations for
+h >= 0.55 (7-10 where the search has no table, below), 11-14 for a minimum
+just inside 0.501 and 15 for one at it, where golden-section search always
+took 16.  The attached standard deviation sigma_h comes from the
+asymptotic variance
 
     sigma_h^2 = 4 pi / ( n * integral_{-pi..pi} (d log f / dh)^2 domega )
 
@@ -37,20 +39,30 @@ geometric-mean-normalized spectrum.  That is taken from centred log q:
 log f - log q = log A, whose h-only part the centring removes and whose
 lam-only part log(1 - cos omega) the h-derivative removes.
 
-Brent's search opens the same way on every trace.  Until it has three
+Brent's search can open the same way on every trace.  Until it has three
 distinct points its parabola is degenerate, so its first three evaluations
 are golden-section steps on [0.501, 0.999] that never read the data: h at
 0.69122, then 0.80878, then 0.61856 or 0.88144, whichever side the first
-two point to.  The model side of an evaluation, q and the mean of log q,
-depends only on (n, mode, h), so ``whittle_estimate`` keeps it at those
-four points across estimates, in a table per (n, mode) that the estimates
-fill themselves.  ``_opening_table`` holds the two most recently used
-tables (``functools.lru_cache``), and only for n <= 2^15, so they take at
-most 1 MiB.  Over the acceptance battery about a third of all evaluations
-fall there.  A hit skips the B sums, the power and the log; the ratio sum
-still runs over the estimate's own periodogram, so every result keeps its
-bits.  Later evaluations are not stored: their h depend on the data and
-rarely repeat.
+two point to.  A golden-section step from a bracket set only by such
+comparisons is itself data-free, so where a table (below) can serve them
+the search takes golden-section steps for its first
+``_OPENING_EVALUATIONS`` = 5 evaluations and tries the parabola only after:
+those fall on a fixed tree of 1 + 1 + 2 + 4 + 8 nodes, 14 distinct h.  The
+model side of an evaluation, q and the mean of log q, depends only on (n,
+mode, h), so ``whittle_estimate`` keeps it at those points across
+estimates, in a table per (n, mode) that the estimates fill themselves.
+``_opening_table`` holds the two most recently used tables
+(``functools.lru_cache``), and only for n <= 2^15, of at most 16 entries
+each (a tol of ~0.12 or more can cut a step to tol / 4, off the tree), so
+they take at most 4 MiB.  Over the acceptance battery about half of all
+evaluations fall there, and an exact estimate computes ~4.6 spectra rather
+than the ~5.8 of a three-step opening, though it makes ~0.75 more
+evaluations in all.  A hit skips the B sums, the power and the log; the
+ratio sum still runs over the estimate's own periodogram, so a result does
+not depend on what the table holds.  Longer traces get no table and run
+Brent's method as published, the parabola tried from the third
+evaluation.  Later evaluations are not stored: their h depend on the data
+and rarely repeat.
 """
 
 from __future__ import annotations
@@ -77,9 +89,10 @@ _H_HI = 1.0 - 1e-3
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SIGMA_GRID_POINTS = 2048
 _SIGMA_FD_STEP = 1e-4
-# Brent's first evaluations that never read the data, and the longest trace
-# whose q there is kept: 2 tables of 4 arrays of n/2 floats make 1 MiB
-_OPENING_EVALUATIONS = 3
+# Brent's first evaluations that never read the data when they are all
+# golden-section steps, and the longest trace whose q there is kept: 2
+# tables of at most 16 arrays of n/2 floats make 4 MiB
+_OPENING_EVALUATIONS = 5
 _OPENING_MAX_N = 1 << 15
 
 
@@ -143,7 +156,8 @@ def _opening_table(n: int, mode: BMode) -> dict[float, tuple[np.ndarray, float]]
     """h -> (read-only q, mean log q) at Brent's opening points for length n.
 
     Empty until estimates fill it.  A dict's get and set are atomic, so the
-    threads of a process share a table without a lock.
+    threads of a process share a table without a lock; threads racing past
+    the 16-entry check may each add one more.
     """
     return {}
 
@@ -160,7 +174,7 @@ def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
     if entry is None:
         q = ws.shape.q(h, ws.q)
         mean_log_q = float(np.mean(np.log(q, out=t)))
-        if table is not None:
+        if table is not None and len(table) < 1 << (_OPENING_EVALUATIONS - 1):  # tree size
             kept = q.copy()
             kept.setflags(write=False)
             table[h] = (kept, mean_log_q)
@@ -175,12 +189,15 @@ def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
     return _objective(_Workspace(p, mode), h.h, mode)
 
 
-def _brent_minimize(fun, a: float, b: float, tol: float):
+def _brent_minimize(fun, a: float, b: float, tol: float, golden: int = 0):
     """Brent's bounded minimization of ``fun`` on [a, b].
 
-    Returns ``(x, fun(x), (a, b))`` for the best point evaluated and the
-    final bracket, whose ends are a and b exactly where no evaluation moved
-    them.  Every step is at least ``tol / 4`` long, and the loop stops once
+    The parabola is tried only once ``golden`` evaluations are done; before
+    that every step is a golden-section step, whose point depends on the
+    earlier ones only through which of two values was lower.  Returns
+    ``(x, fun(x), (a, b))`` for the best point evaluated and the final
+    bracket, whose ends are a and b exactly where no evaluation moved them.
+    Every step is at least ``tol / 4`` long, and the loop stops once
     |x - m| <= tol / 2 - (b - a) / 2 for the bracket midpoint m, which
     implies b - a <= tol.
     """
@@ -189,13 +206,14 @@ def _brent_minimize(fun, a: float, b: float, tol: float):
     # x: best point so far; w: second best; v: the previous w
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = fun(x)
+    evaluations = 1
     d = e = 0.0  # last step, and the step before it
     while True:
         xm = 0.5 * (a + b)
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             return x, fx, (a, b)
         parabolic = False
-        if abs(e) > tol1:
+        if abs(e) > tol1 and evaluations >= golden:
             # vertex of the parabola through (x, fx), (w, fw), (v, fv), as x + p / q
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
@@ -216,6 +234,7 @@ def _brent_minimize(fun, a: float, b: float, tol: float):
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = fun(u)
+        evaluations += 1
         if fu <= fx:
             if u >= x:
                 a = x
@@ -247,8 +266,9 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     outcome for white-noise-like input, whose true h sits at the 0.5
     boundary.  The objective's lam-only factors and work buffers are built
     once per estimate (see ``_Workspace``) and freed with it; for n <= 2^15
-    the model spectrum at the search's opening points is kept across
-    estimates in an ``_opening_table`` (see the module docstring).
+    the search opens with five golden-section steps, and the model spectrum
+    at their points is kept across estimates in an ``_opening_table`` (see
+    the module docstring).
     """
     if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
         raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
@@ -257,8 +277,9 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     ws = _Workspace(periodogram(t), mode)
     if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
         ws.table = _opening_table(t.n, mode)
+    golden = 0 if ws.table is None else _OPENING_EVALUATIONS
     h_hat, objective, bracket = _brent_minimize(
-        lambda h: _objective(ws, h, mode), _H_LO, _H_HI, tol
+        lambda h: _objective(ws, h, mode), _H_LO, _H_HI, tol, golden
     )
     evaluations = ws.evaluations
     del ws  # its grid arrays go before sigma_h builds work rows of its own

@@ -164,6 +164,17 @@ def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
     return Trace(values, TraceProvenance(h=h, seed=None, mode=None))
 
 
+def _is_constant(t: Trace, spread: float) -> bool:
+    """The one constant-trace rule: the sample sd or variance ``spread`` is
+    0, or the range is.
+
+    The range catches a constant whose float mean is not its value (20 x
+    5.3e14 has sd 0.19); the spread catches differences so small (subnormal)
+    that every squared deviation is 0.
+    """
+    return spread == 0.0 or np.ptp(t.values) == 0.0
+
+
 def rescale_trace(t: Trace, target_mean: float, target_sd: float) -> Trace:
     """Affine map of a trace to the requested sample mean and sd (ddof=1).
 
@@ -173,7 +184,7 @@ def rescale_trace(t: Trace, target_mean: float, target_sd: float) -> Trace:
     if target_sd <= 0:
         raise ValueError("target standard deviation must be positive")
     sd = t.sd()
-    if sd == 0.0:
+    if _is_constant(t, sd):
         raise ValueError("cannot rescale a constant trace")
     with np.errstate(over="ignore", invalid="ignore"):  # the Trace check reports it
         values = (t.values - t.mean()) * (target_sd / sd) + target_mean

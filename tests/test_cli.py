@@ -350,6 +350,18 @@ class TestConvert:
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert err_lines == ["error: degenerate trace: cannot rescale a constant trace"]
 
+    @pytest.mark.parametrize("values", [[529835250278883.0] * 20, [0.0, 5e-324] * 10],
+                             ids=["mean-not-value", "subnormal-spread"])
+    def test_near_constant_trace_with_sd_exits_4(self, tmp_path, capsys, values):
+        # a nonzero sd with no range, or a range with no sd: constant either way
+        path = tmp_path / "t.txt"
+        write_values(path, values)
+        assert run("convert", "--in", str(path), "--mean", "3", "--sd", "0.5",
+                   "--out", str(tmp_path / "c.txt")) == 4
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == ["error: degenerate trace: cannot rescale a constant trace"]
+        assert not (tmp_path / "c.txt").exists()
+
     def test_bad_bin_width_exits_2(self, tmp_path, rng):
         path = tmp_path / "t.txt"
         write_values(path, rng.standard_normal(64))

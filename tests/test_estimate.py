@@ -169,7 +169,7 @@ class TestOpeningMemo:
         t = synth_cache(0.75, 8192, 5)
         self.TABLE.cache_clear()
         cold = whittle_estimate(t, mode)
-        assert len(self.TABLE(t.n, mode)) == 3
+        assert len(self.TABLE(t.n, mode)) == estimate._OPENING_EVALUATIONS
         warm = whittle_estimate(t, mode)
         self.TABLE.cache_clear()
         results = [None, None]
@@ -186,10 +186,11 @@ class TestOpeningMemo:
             th.join(timeout=120)
         assert not any(th.is_alive() for th in threads)
         assert cold == warm == results[0] == results[1]
-        assert self.TABLE.cache_info().currsize == 1 and len(self.TABLE(t.n, mode)) == 3
+        assert (self.TABLE.cache_info().currsize == 1
+                and len(self.TABLE(t.n, mode)) == estimate._OPENING_EVALUATIONS)
 
     def test_memo_stays_within_its_budget(self, synth_cache):
-        # two tables of at most four arrays of n/2 floats, n <= 2^15: 1 MiB
+        # two tables of at most 16 arrays of n/2 floats, n <= 2^15: 4 MiB
         self.TABLE.cache_clear()
         for n in (2**12, 2**15, 2**16, 2**17, 2**15):
             before = self.TABLE.cache_info()
@@ -200,7 +201,7 @@ class TestOpeningMemo:
                 assert after == before
         assert (after.misses, after.hits) == (2, 1)  # the last 2^15 estimate found its table
         table = self.TABLE(2**15, K3)
-        assert len(table) == 3 and self.TABLE.cache_info().misses == 2
+        assert len(table) == estimate._OPENING_EVALUATIONS and self.TABLE.cache_info().misses == 2
         assert all(q.nbytes == 8 * 2**14 and not q.flags.writeable for q, _ in table.values())
 
     def test_concurrent_estimates_agree_with_serial_ones(self):
@@ -245,6 +246,38 @@ class TestOpeningMemo:
         self.TABLE.cache_clear()
         whittle_estimate(synth_cache(0.7, 2**16, 2), FAST)
         assert self.TABLE.cache_info() == (0, 0, 2, 0)
+
+    def test_estimate_of_2_16_searches_like_plain_brent(self, synth_cache):
+        # no table, so no golden-section opening: Brent's own steps
+        t = synth_cache(0.7, 2**16, 2)
+        p = periodogram(t)
+        calls = []
+        objective = estimate._objective
+        estimate._objective = lambda ws, h, m: calls.append(h) or objective(ws, h, m)
+        try:
+            whittle_estimate(t, FAST)
+        finally:
+            estimate._objective = objective
+
+        def brent(golden):
+            hs = []
+            estimate._brent_minimize(
+                lambda h: hs.append(h) or whittle_objective(p, HurstParam(h), FAST),
+                estimate._H_LO, estimate._H_HI, 0.001, golden)
+            return hs
+
+        assert calls == brent(0)
+        assert calls != brent(estimate._OPENING_EVALUATIONS)
+
+    def test_coarse_tolerances_keep_the_table_bounded(self, synth_cache):
+        # from tol ~0.12 on, a golden step can be cut to tol / 4 and the
+        # opening leaves the 14-point tree; the table stops growing at 16
+        self.TABLE.cache_clear()
+        for h in (0.51, 0.6, 0.7, 0.8, 0.9, 0.99):
+            t = synth_cache(h, 1024, 3)
+            for tol in (0.001, 0.12, 0.15, 0.2, 0.3, 0.4, 0.49):
+                whittle_estimate(t, K3, tol)
+        assert len(self.TABLE(1024, K3)) == 1 << (estimate._OPENING_EVALUATIONS - 1)
 
     def test_only_whittle_estimate_uses_the_memo(self, synth_cache):
         p = periodogram(synth_cache(0.7, 4096, 8))

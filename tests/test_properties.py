@@ -75,3 +75,35 @@ def test_search_opens_on_data_free_points(values, mode):
                            lambda ws, h, m: calls.append(h) or objective(ws, h, m)):
         whittle_estimate(Trace(values), mode)
     assert set(calls[:3]) <= brent_opening_points()
+
+
+def golden_tree(steps):
+    """Every h the first ``steps`` evaluations of a search that takes only
+    golden-section steps on [_H_LO, _H_HI] can reach, over both outcomes of
+    each comparison: 1 + 1 + 2 + 4 + ... points."""
+    a, b, g = estimate._H_LO, estimate._H_HI, estimate._GOLDEN
+    x = a + g * (b - a)
+    points, level = {x}, [(a, b, x)]
+    for _ in range(steps - 1):
+        nxt = []
+        for a, b, x in level:
+            u = x + g * ((b - x) if x < 0.5 * (a + b) else (a - x))
+            points.add(u)
+            nxt.append((x, b, u) if u >= x else (a, x, u))  # u no worse: x ends the bracket
+            nxt.append((u, b, x) if u < x else (a, u, x))  # u worse: u ends it
+        level = nxt
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=TRACES, mode=KINDS)
+def test_search_opening_stays_in_the_golden_tree(values, mode):
+    steps = estimate._OPENING_EVALUATIONS
+    tree = golden_tree(steps)
+    assert len(tree) <= 2 ** (steps - 1)
+    calls = []
+    objective = estimate._objective
+    with mock.patch.object(estimate, "_objective",
+                           lambda ws, h, m: calls.append(h) or objective(ws, h, m)):
+        whittle_estimate(Trace(values), mode)
+    assert len(set(calls[:steps])) == steps and set(calls[:steps]) <= tree

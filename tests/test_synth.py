@@ -146,6 +146,16 @@ class TestRescaleTrace:
         with pytest.raises(ValueError):
             rescale_trace(Trace(np.full(100, 3.0)), 0.0, 1.0)
 
+    @pytest.mark.parametrize("values", [[529835250278883.0] * 20, [0.0, 5e-324] * 10],
+                             ids=["mean-not-value", "subnormal-spread"])
+    def test_rejects_near_constant(self, values):
+        # the float mean of 20 x 529835250278883.0 is not the value (sd 0.19,
+        # no range); 0 and 5e-324 have a range, but every squared deviation is 0
+        t = Trace(np.array(values))
+        assert (t.sd() == 0.0) != (np.ptp(t.values) == 0.0)
+        with pytest.raises(ValueError, match="constant"):
+            rescale_trace(t, 3.0, 0.5)
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_without_numpy_warning(self, rng):
         with pytest.raises(ValueError, match="finite"):
