@@ -27,9 +27,8 @@ search stops once the bracket is narrower than ``tol`` (default 0.001) and
 returns the best point it evaluated.  At the default tol, over the
 acceptance battery (n = 32768), that takes 8-10 objective evaluations for
 h >= 0.55 (7-10 where the search has no table, below), 11-14 for a minimum
-just inside 0.501 and 15 for one at it, where golden-section search always
-took 16.  The attached standard deviation sigma_h comes from the
-asymptotic variance
+just inside 0.501 and 15 for one at it.  The attached standard deviation
+sigma_h comes from the asymptotic variance
 
     sigma_h^2 = 4 pi / ( n * integral_{-pi..pi} (d log f / dh)^2 domega )
 
@@ -55,14 +54,12 @@ estimates, in a table per (n, mode) that the estimates fill themselves.
 (``functools.lru_cache``), and only for n <= 2^15, of at most 16 entries
 each (a tol of ~0.12 or more can cut a step to tol / 4, off the tree), so
 they take at most 4 MiB.  Over the acceptance battery about half of all
-evaluations fall there, and an exact estimate computes ~4.6 spectra rather
-than the ~5.8 of a three-step opening, though it makes ~0.75 more
-evaluations in all.  A hit skips the B sums, the power and the log; the
-ratio sum still runs over the estimate's own periodogram, so a result does
-not depend on what the table holds.  Longer traces get no table and run
-Brent's method as published, the parabola tried from the third
-evaluation.  Later evaluations are not stored: their h depend on the data
-and rarely repeat.
+evaluations fall there, and an exact estimate computes ~4.6 spectra.  A
+hit skips the B sums, the power and the log; the ratio sum still runs over
+the estimate's own periodogram, so a result does not depend on what the
+table holds.  Longer traces get no table and run Brent's method as
+published, the parabola tried from the third evaluation.  Later
+evaluations are not stored: their h depend on the data and rarely repeat.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import BMode, HurstParam, SpectrumGrid, _fourier_frequencies, _Shape
-from .synth import Trace
+from .synth import Trace, _is_constant
 
 __all__ = [
     "WhittleResult",
@@ -162,11 +159,8 @@ def _opening_table(n: int, mode: BMode) -> dict[float, tuple[np.ndarray, float]]
     return {}
 
 
-def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
-    """(2 pi / n) sum_j I_j / f_norm(lam_j, h), f_norm of geometric mean one.
-
-    ``mode`` is the one ``ws`` was built for.
-    """
+def _objective(ws: _Workspace, h: float) -> float:
+    """(2 pi / n) sum_j I_j / f_norm(lam_j, h), f_norm of geometric mean one."""
     t = ws.shape.scratch
     table = ws.table if ws.evaluations < _OPENING_EVALUATIONS else None
     ws.evaluations += 1
@@ -186,7 +180,7 @@ def _objective(ws: _Workspace, h: float, mode: BMode) -> float:
 
 def whittle_objective(p: SpectrumGrid, h: HurstParam, mode: BMode) -> float:
     """Discretized ratio integral (2 pi / n) sum_j I(lam_j) / f_norm(lam_j, h)."""
-    return _objective(_Workspace(p, mode), h.h, mode)
+    return _objective(_Workspace(p, mode), h.h)
 
 
 def _brent_minimize(fun, a: float, b: float, tol: float, golden: int = 0):
@@ -264,22 +258,23 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     an end of the search interval, i.e. no evaluated point showed the
     objective rising again beyond h_hat on that side; that is the expected
     outcome for white-noise-like input, whose true h sits at the 0.5
-    boundary.  The objective's lam-only factors and work buffers are built
-    once per estimate (see ``_Workspace``) and freed with it; for n <= 2^15
-    the search opens with five golden-section steps, and the model spectrum
-    at their points is kept across estimates in an ``_opening_table`` (see
-    the module docstring).
+    boundary.  A constant trace (``synth._is_constant``) raises
+    ``ValueError``.  The objective's lam-only factors and work buffers are
+    built once per estimate (see ``_Workspace``) and freed with it; for
+    n <= 2^15 the search opens with five golden-section steps, and the
+    model spectrum at their points is kept across estimates in an
+    ``_opening_table`` (see the module docstring).
     """
     if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
         raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
-    if np.ptp(t.values) == 0.0:
+    if _is_constant(t, t.sd()):
         raise ValueError("degenerate (constant) trace")
     ws = _Workspace(periodogram(t), mode)
     if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
         ws.table = _opening_table(t.n, mode)
     golden = 0 if ws.table is None else _OPENING_EVALUATIONS
     h_hat, objective, bracket = _brent_minimize(
-        lambda h: _objective(ws, h, mode), _H_LO, _H_HI, tol, golden
+        lambda h: _objective(ws, h), _H_LO, _H_HI, tol, golden
     )
     evaluations = ws.evaluations
     del ws  # its grid arrays go before sigma_h builds work rows of its own

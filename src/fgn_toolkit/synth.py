@@ -1,10 +1,11 @@
 """FFT synthesis of approximate fractional Gaussian noise sample paths.
 
-The pipeline builds the FGN power spectrum on the Fourier frequencies,
-multiplies each value by an independent mean-1 exponential variate (the
-periodogram of a Gaussian process is asymptotically exponential around the
-true spectrum), attaches uniformly random phases, and takes the real
-inverse FFT of the half spectrum with a zero DC term prepended (the
+:func:`synthesize_fgn` is Paxson's method in one pass.  It takes the FGN
+power spectrum f on the n/2 Fourier frequencies, multiplies each value by
+an independent mean-1 exponential variate (the periodogram of a Gaussian
+process is asymptotically exponential around the true spectrum), attaches
+a uniformly random phase to the square root of each, and takes the real
+inverse FFT of that half spectrum with a zero DC term prepended (the
 inverse transform of its conjugate-symmetric mirror).  The result is a
 real, zero-mean path whose periodogram equals the fuzzed spectrum exactly
 (up to the fixed 1/n transform convention).
@@ -14,9 +15,12 @@ The same module holds :func:`exact_fgn`, an exact Gaussian FGN generator
 
 Randomness comes from an explicit ``numpy.random.Generator`` (PCG64 when
 created through :func:`make_rng`).  The draw order is fixed: all n/2
-exponential variates first, then all n/2 phase uniforms, so a given seed
-keeps producing the same path across refactors.  Bit-exactness is promised
-only within one build of this package, not across numpy versions.
+uniforms of the exponential variates (-log(1 - U), by inverse CDF) first,
+then all n/2 phase uniforms; the Nyquist bin's phase is forced to zero
+after the draw, so its half spectrum is exactly conjugate-symmetric.  A
+given seed keeps producing the same path across refactors.  Bit-exactness
+is promised only within one build of this package, not across numpy
+versions.
 """
 
 from __future__ import annotations
@@ -29,17 +33,15 @@ from .spectrum import (
     FAST,
     BMode,
     HurstParam,
-    SpectrumGrid,
-    build_spectrum_grid,
+    _fourier_frequencies,
     fgn_autocorrelation,
+    fgn_power_spectrum,
 )
 
 __all__ = [
     "TraceProvenance",
     "Trace",
     "make_rng",
-    "fuzz_spectrum",
-    "random_phase_complexify",
     "synthesize_fgn",
     "exact_fgn",
     "rescale_trace",
@@ -87,30 +89,6 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def fuzz_spectrum(grid: SpectrumGrid, rng: np.random.Generator) -> SpectrumGrid:
-    """Multiply each spectral value by an independent Exp(1) variate.
-
-    Variates are drawn by inverse CDF, -log(1 - U) with U uniform on
-    [0, 1), so the draw count per call is exactly one uniform per
-    frequency.
-    """
-    expo = -np.log1p(-rng.random(len(grid)))
-    return SpectrumGrid(grid.lambdas, grid.values * expo)
-
-
-def random_phase_complexify(grid: SpectrumGrid, rng: np.random.Generator) -> np.ndarray:
-    """Complex half spectrum with |z_j|^2 = value_j and uniform phases.
-
-    The final entry is the Nyquist bin; its phase is forced to zero (after
-    drawing the full phase vector) so the spectrum it completes is exactly
-    conjugate-symmetric.
-    """
-    phases = 2.0 * np.pi * rng.random(len(grid))
-    z = np.sqrt(grid.values) * np.exp(1j * phases)
-    z[-1] = np.abs(z[-1])
-    return z
-
-
 def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trace:
     """Synthesize an approximate FGN path of even length n >= 4.
 
@@ -123,10 +101,12 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     if n < 4 or n % 2 != 0:
         raise ValueError(f"n must be even and at least 4, got {n}")
     rng = make_rng(seed)
-    grid = build_spectrum_grid(h, n, mode)
-    fuzzed = fuzz_spectrum(grid, rng)
-    half = random_phase_complexify(fuzzed, rng)
-    values = np.fft.irfft(np.concatenate(([0.0], half)), n)
+    m = n // 2
+    f = fgn_power_spectrum(h, _fourier_frequencies(n), mode)
+    f *= -np.log1p(-rng.random(m))  # Exp(1) variates, -log(1 - U)
+    z = np.sqrt(f) * np.exp(1j * (2.0 * np.pi * rng.random(m)))
+    z[-1] = np.abs(z[-1])  # the Nyquist bin is real
+    values = np.fft.irfft(np.concatenate(([0.0], z)), n)
     return Trace(values, TraceProvenance(h=h, seed=int(seed), mode=mode))
 
 

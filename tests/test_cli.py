@@ -129,6 +129,15 @@ class TestEstimate:
         write_values(path, np.full(64, 3.0))
         assert run("estimate", "--in", str(path)) == 4
 
+    def test_subnormal_spread_trace_exits_4(self, tmp_path, capsys):
+        # a range but no sd: constant by the rule analyze and convert use
+        path = tmp_path / "c.txt"
+        write_values(path, [0.0, 5e-324] * 10)
+        assert run("estimate", "--in", str(path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degenerate trace: degenerate (constant) trace\n"
+
     def test_missing_file_exits_3(self, tmp_path):
         assert run("estimate", "--in", str(tmp_path / "absent.txt")) == 3
 

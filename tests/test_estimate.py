@@ -115,7 +115,7 @@ class TestWorkspace:
         p = periodogram(synth_cache(0.7, 4096, 8))
         ws = estimate._Workspace(p, mode)
         for hval in (0.9, 0.55, 0.7, 0.501, 0.999, 0.7):
-            got = estimate._objective(ws, hval, mode)
+            got = estimate._objective(ws, hval)
             assert got == whittle_objective(p, HurstParam(hval), mode)
 
     @pytest.mark.parametrize("mode", [FAST, EXACT], ids=str)
@@ -125,7 +125,7 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             for hval in (0.6, 0.7, 0.8):
-                estimate._objective(ws, hval, mode)
+                estimate._objective(ws, hval)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,7 +157,7 @@ class TestOpeningMemo:
         # the search's first three evaluations, traced on a trace of length n
         calls = []
         objective = estimate._objective
-        estimate._objective = lambda ws, h, m: calls.append(h) or objective(ws, h, m)
+        estimate._objective = lambda ws, h: calls.append(h) or objective(ws, h)
         try:
             whittle_estimate(Trace(np.random.default_rng(1).standard_normal(n)), mode)
         finally:
@@ -253,7 +253,7 @@ class TestOpeningMemo:
         p = periodogram(t)
         calls = []
         objective = estimate._objective
-        estimate._objective = lambda ws, h, m: calls.append(h) or objective(ws, h, m)
+        estimate._objective = lambda ws, h: calls.append(h) or objective(ws, h)
         try:
             whittle_estimate(t, FAST)
         finally:
@@ -285,7 +285,7 @@ class TestOpeningMemo:
         self.TABLE.cache_clear()
         for h in hs:
             whittle_objective(p, HurstParam(h), K3)
-            estimate._objective(estimate._Workspace(p, K3), h, K3)
+            estimate._objective(estimate._Workspace(p, K3), h)
         with pytest.raises(ValueError):  # a length the periodogram rejects makes no table
             whittle_estimate(Trace(p.values[:7]), K3)
         assert self.TABLE.cache_info() == (0, 0, 2, 0)
@@ -301,7 +301,7 @@ class TestOpeningMemo:
         ws.table = table
         tracemalloc.start()
         try:
-            got = [estimate._objective(ws, h, mode) for h in hs]
+            got = [estimate._objective(ws, h) for h in hs]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -344,6 +344,12 @@ class TestWhittleEstimate:
     def test_rejects_constant_trace(self):
         with pytest.raises(ValueError):
             whittle_estimate(Trace(np.full(64, 2.0)), K3)
+
+    def test_rejects_subnormal_spread_trace(self):
+        # 0 and 5e-324 have a range but no sd (synth._is_constant), and
+        # their periodogram underflows to 0
+        with pytest.raises(ValueError, match="constant"):
+            whittle_estimate(Trace(np.array([0.0, 5e-324] * 10)), K3)
 
     def test_rejects_tiny_tolerance(self, rng):
         with pytest.raises(ValueError):
@@ -393,7 +399,7 @@ class TestWhittleEstimate:
         calls = []
         objective = estimate._objective
         monkeypatch.setattr(
-            estimate, "_objective", lambda p, h, mode: calls.append(h) or objective(p, h, mode)
+            estimate, "_objective", lambda ws, h: calls.append(h) or objective(ws, h)
         )
         res = whittle_estimate(synth_cache(0.7, 4096, 8), K3)
         assert res.evaluations == len(calls) == len(set(calls))

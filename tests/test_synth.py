@@ -1,4 +1,4 @@
-"""Synthesis pipeline: fuzzing, phases, full paths, rescaling."""
+"""Synthesis: full paths against their documented draw order, rescaling."""
 
 import numpy as np
 import pytest
@@ -6,61 +6,33 @@ import pytest
 from fgn_toolkit import (
     BMode,
     HurstParam,
-    SpectrumGrid,
     Trace,
-    build_spectrum_grid,
+    fgn_power_spectrum,
     make_rng,
     periodogram,
     rescale_trace,
     synthesize_fgn,
     whittle_estimate,
 )
-from fgn_toolkit.synth import fuzz_spectrum, random_phase_complexify
 
 K3 = BMode.truncated(3)
+EXACT = BMode.partial(200)
+FAST = BMode.truncated_double_prime()
 
 
-class TestFuzzSpectrum:
-    def test_zero_grid_stays_zero(self):
-        grid = SpectrumGrid(np.array([0.5, 1.0, np.pi]), np.zeros(3))
-        out = fuzz_spectrum(grid, make_rng(1))
-        assert np.array_equal(out.values, np.zeros(3))
-
-    def test_mean_multiplier_is_one(self):
-        # Exp(1) has mean 1; 3 sigma / sqrt(16384) < 0.03
-        n_half = 16384
-        lam = np.pi * np.arange(1, n_half + 1) / n_half
-        grid = SpectrumGrid(lam, np.ones(n_half))
-        out = fuzz_spectrum(grid, make_rng(99))
-        assert abs(out.values.mean() - 1.0) < 0.03
-
-    def test_deterministic_per_seed(self):
-        grid = build_spectrum_grid(HurstParam(0.7), 128, K3)
-        a = fuzz_spectrum(grid, make_rng(5))
-        b = fuzz_spectrum(grid, make_rng(5))
-        assert np.array_equal(a.values, b.values)
-
-    def test_nonnegative(self, rng):
-        grid = build_spectrum_grid(HurstParam(0.9), 256, K3)
-        assert np.all(fuzz_spectrum(grid, rng).values >= 0)
-
-
-class TestRandomPhase:
-    def test_modulus_squared_equals_value(self, rng):
-        grid = build_spectrum_grid(HurstParam(0.8), 256, K3)
-        z = random_phase_complexify(grid, rng)
-        assert np.allclose(np.abs(z) ** 2, grid.values, rtol=1e-12)
-
-    def test_zero_value_gives_zero(self, rng):
-        grid = SpectrumGrid(np.array([1.0, np.pi]), np.array([0.0, 2.0]))
-        z = random_phase_complexify(grid, rng)
-        assert z[0] == 0j
-
-    def test_nyquist_entry_is_real(self, rng):
-        grid = build_spectrum_grid(HurstParam(0.7), 64, K3)
-        z = random_phase_complexify(grid, rng)
-        assert z[-1].imag == 0.0
-        assert z[-1].real >= 0.0
+def documented_half_spectrum(h, n, seed, mode):
+    """The fuzzed spectrum and the half spectrum that ``synthesize_fgn``
+    inverts, rebuilt from its documented draw order: f on the Fourier
+    frequencies (the last clamped to pi) times Exp(1) variates from the first
+    n/2 uniforms, phases from the next n/2, the Nyquist phase forced to zero
+    after the draw."""
+    m = n // 2
+    rng = make_rng(seed)
+    lam = np.minimum(2.0 * np.pi * np.arange(1, m + 1, dtype=float) / n, np.pi)
+    fuzzed = fgn_power_spectrum(h, lam, mode) * -np.log1p(-rng.random(m))
+    half = np.sqrt(fuzzed) * np.exp(1j * (2.0 * np.pi * rng.random(m)))
+    half[-1] = np.abs(half[-1])
+    return fuzzed, half
 
 
 class TestSynthesizeFgn:
@@ -91,25 +63,32 @@ class TestSynthesizeFgn:
         assert t.provenance.seed == 9
         assert t.provenance.mode == K3
 
+    @pytest.mark.parametrize("mode", [K3, FAST, EXACT], ids=str)
+    @pytest.mark.parametrize("n", [26, 2048])  # at 26 the last frequency is clamped to pi
+    def test_matches_documented_draw_order(self, n, mode):
+        h, seed = HurstParam(0.75), 77
+        _, half = documented_half_spectrum(h, n, seed, mode)
+        expected = np.concatenate(([0.0], half))
+        t = synthesize_fgn(h, n, seed, mode)
+        assert np.array_equal(t.values, np.fft.irfft(expected, n))
+        # zero DC term, each phase in its own bin, Nyquist bin real
+        assert np.allclose(np.fft.rfft(t.values), expected, rtol=0, atol=1e-12 * np.abs(half).max())
+
     def test_periodogram_preserves_fuzzed_power(self):
         # the periodogram of the output is the fuzzed spectrum divided by n
         h = HurstParam(0.75)
         n, seed = 2048, 77
-        rng = make_rng(seed)
-        fuzzed = fuzz_spectrum(build_spectrum_grid(h, n, K3), rng)
-        t = synthesize_fgn(h, n, seed, K3)
-        p = periodogram(t)
-        assert np.allclose(p.values, fuzzed.values / n, rtol=1e-9)
+        fuzzed, _ = documented_half_spectrum(h, n, seed, K3)
+        p = periodogram(synthesize_fgn(h, n, seed, K3))
+        assert np.allclose(p.values, fuzzed / n, rtol=1e-9)
 
-    def test_forward_transform_recovers_half_spectrum(self):
-        # zero DC term, each phase in its own bin, Nyquist bin real
-        h = HurstParam(0.75)
-        n, seed = 2048, 78
-        rng = make_rng(seed)
-        half = random_phase_complexify(fuzz_spectrum(build_spectrum_grid(h, n, K3), rng), rng)
-        t = synthesize_fgn(h, n, seed, K3)
-        expected = np.concatenate(([0.0], half))
-        assert np.allclose(np.fft.rfft(t.values), expected, rtol=0, atol=1e-12 * np.abs(half).max())
+    def test_periodogram_over_spectrum_has_exp1_mean(self):
+        # n I_j / f_j is the Exp(1) multiplier of frequency j;
+        # 3 sigma / sqrt(16384) < 0.03
+        n = 32768
+        p = periodogram(synthesize_fgn(HurstParam(0.8), n, 99, K3))
+        ratio = n * p.values / fgn_power_spectrum(HurstParam(0.8), p.lambdas, K3)
+        assert abs(ratio.mean() - 1.0) < 0.03
 
     def test_independent_runs_uncorrelated(self):
         h = HurstParam(0.8)
