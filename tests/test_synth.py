@@ -1,4 +1,4 @@
-"""Synthesis: full paths against their documented draw order, rescaling."""
+"""Synthesis: full paths against their documented draw order, phases, rescaling."""
 
 import numpy as np
 import pytest
@@ -33,6 +33,17 @@ def documented_half_spectrum(h, n, seed, mode):
     half = np.sqrt(fuzzed) * np.exp(1j * (2.0 * np.pi * rng.random(m)))
     half[-1] = np.abs(half[-1])
     return fuzzed, half
+
+
+class TestRandomPhase:
+    def test_modulus_squared_equals_value(self):
+        # the random phases change no modulus: each bin of the path's forward
+        # transform carries exactly the power of its fuzzed spectrum value
+        h = HurstParam(0.8)
+        n, seed = 256, 5
+        fuzzed, _ = documented_half_spectrum(h, n, seed, K3)
+        z = np.fft.rfft(synthesize_fgn(h, n, seed, K3).values)[1:]
+        assert np.allclose(np.abs(z) ** 2, fuzzed, rtol=1e-12)
 
 
 class TestSynthesizeFgn:
@@ -81,6 +92,15 @@ class TestSynthesizeFgn:
         fuzzed, _ = documented_half_spectrum(h, n, seed, K3)
         p = periodogram(synthesize_fgn(h, n, seed, K3))
         assert np.allclose(p.values, fuzzed / n, rtol=1e-9)
+
+    def test_forward_transform_recovers_half_spectrum(self):
+        # zero DC term, each phase in its own bin, Nyquist bin real
+        h = HurstParam(0.75)
+        n, seed = 2048, 78
+        _, half = documented_half_spectrum(h, n, seed, K3)
+        t = synthesize_fgn(h, n, seed, K3)
+        expected = np.concatenate(([0.0], half))
+        assert np.allclose(np.fft.rfft(t.values), expected, rtol=0, atol=1e-12 * np.abs(half).max())
 
     def test_periodogram_over_spectrum_has_exp1_mean(self):
         # n I_j / f_j is the Exp(1) multiplier of frequency j;
