@@ -7,6 +7,15 @@ normality with estimated mean and variance, normal Q-Q plot data and the
 sample autocorrelation.  The autocorrelation sums every lag at once as a
 blocked Gram product of the trace's consecutive blocks (BLAS matrix
 products, O(n (max_lag + 1024)) work, a few MB of scratch for any lag).
+
+The variance-time levels, the elementwise passes of A^2 and the Q-Q
+quantiles run on ranges (of levels, or of columns) through
+``spectrum._run_chunks``, the thread runner of the spectral sums, with its
+count rule: one range per CPU the process may use for a large trace, and
+no thread for a small one or in a one-CPU process.  A range writes only
+into arrays the calling thread allocated and allocates none itself, and
+every sum over a whole trace or level is taken whole, so the results have
+the same bits however the work is split.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import _chunk_count, _column_ranges, _run_chunks
 from .synth import Trace, _is_constant
 
 __all__ = [
@@ -41,6 +51,12 @@ AD_CRITICAL_5PCT = 0.752
 # P x 2P buffer (4 MB at 512) bounds the scratch memory for any max_lag.
 # 256 and 1024 were up to 9% slower at n = 2^21, max_lag 1000 and 3000.
 _ACF_BLOCK = 512
+
+# Block means of fewer values than this are summed as columns of
+# reshape(k, m), in order: numpy's .mean(axis=1) adds so short a row in the
+# same order (from 8 values it sums a row pairwise), so the bits are the
+# same, without a reduction call per row (20 -> 2 ms at m = 2, n = 2^21).
+_COLUMN_SUM_BELOW = 8
 
 
 @dataclass(frozen=True)
@@ -90,8 +106,53 @@ def aggregate(t: Trace, m: int) -> Trace:
         raise ValueError(f"aggregation level {m} exceeds trace length {t.n}")
     if m == 1:
         return Trace(t.values.copy(), t.provenance)
-    k = t.n // m
-    return Trace(t.values[: k * m].reshape(k, m).mean(axis=1), t.provenance)
+    return Trace(_block_means(t.values, m, np.empty(t.n // m)), t.provenance)
+
+
+def _block_means(x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """The floor(n/m) block means of x, m >= 2, into ``out``, with the bits
+    of ``reshape(k, m).mean(axis=1)``; allocates no array."""
+    k = out.size
+    blocks = x[: k * m].reshape(k, m)
+    if m < _COLUMN_SUM_BELOW:
+        np.add(blocks[:, 0], blocks[:, 1], out=out)
+        for j in range(2, m):
+            out += blocks[:, j]
+    else:
+        np.add.reduce(blocks, axis=1, out=out)
+    out /= m
+    return out
+
+
+def _variance_in_place(x: np.ndarray) -> float:
+    """``np.var(x, ddof=1)`` with its bits, overwriting x instead of
+    allocating: the mean, the squared deviations, their sum over n - 1."""
+    x -= np.add.reduce(x) / x.size
+    np.square(x, out=x)
+    return float(np.add.reduce(x) / (x.size - 1))
+
+
+def _level_variances(x: np.ndarray, levels: np.ndarray, count: int) -> np.ndarray:
+    """The sample variance (ddof=1) of x's block means at each level > 1,
+    on ``count`` ranges through ``spectrum._run_chunks``.
+
+    Level i goes to range i mod count: a level's cost falls slowly with m
+    (at n = 2^21 on a 2-vCPU host, ~5 ms for m < 8 to ~1 ms at m = 1000), so
+    interleaved ranges are about equal.  Each range works in its own region
+    of one buffer, as long as the block means of its first (largest) level.
+    """
+    groups = [range(c, levels.size, count) for c in range(count)]
+    offsets = np.cumsum([0] + [x.size // levels[g[0]] for g in groups]).tolist()
+    work = np.empty(offsets[-1])
+    out = np.empty(levels.size)
+
+    def run(c0: int, c1: int) -> None:
+        buf = work[offsets[c0] : offsets[c1]]
+        for i in groups[c0]:
+            out[i] = _variance_in_place(_block_means(x, int(levels[i]), buf[: x.size // levels[i]]))
+
+    _run_chunks(run, [(c, c + 1) for c in range(count)])
+    return out
 
 
 def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
@@ -109,9 +170,9 @@ def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
         raise ValueError("every aggregation level must leave at least 10 points (m <= n/10)")
     base_var = _variance(t)
     # level 1 is the trace itself, whose normalized variance is 1 by definition
-    norm_vars = np.array(
-        [1.0] + [np.var(aggregate(t, int(m)).values, ddof=1) / base_var for m in levels[1:]]
-    )
+    norm_vars = np.ones(levels.size)
+    count = _chunk_count(int(np.sum(t.n // levels[1:])), levels.size - 1)
+    norm_vars[1:] = _level_variances(t.values, levels[1:], count) / base_var
     if not np.all(norm_vars > 0.0):  # e.g. a trace alternating between two values
         m = levels[np.argmin(norm_vars)]
         raise ValueError(f"the variance of the block means vanishes at level m={m}")
@@ -137,14 +198,41 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
 
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
-    y = np.sort(x, axis=-1)
     mean = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, ddof=1, keepdims=True)
-    z = ndtr((y - mean) / sd)
-    z = np.clip(z, 1e-300, 1.0 - 1e-16)
-    i = np.arange(1, n + 1)
-    s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
-    a2 = (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
+    # one sorted copy z and one scratch w; the elementwise passes run on
+    # column ranges, the sum over each row whole
+    z = np.sort(x, axis=-1)
+    w = np.empty_like(z)
+    ranges = _column_ranges(n, _chunk_count(z.size, n))
+
+    def cdf(c0: int, c1: int) -> None:
+        zc = z[..., c0:c1]
+        zc -= mean
+        zc /= sd
+        ndtr(zc, out=zc)
+        np.clip(zc, 1e-300, 1.0 - 1e-16, out=zc)
+
+    def upper_tail(c0: int, c1: int) -> None:  # log1p(-z), row reversed
+        wc = w[..., c0:c1]
+        np.log1p(np.negative(z[..., ::-1][..., c0:c1], out=wc), out=wc)
+
+    def terms(c0: int, c1: int) -> None:
+        zc = z[..., c0:c1]
+        np.log(zc, out=zc)
+        zc += w[..., c0:c1]
+        # the weights (2i - 1) / n in the first row of w: 2i - 1 = 1, 3, 5,
+        # ... as an exact running sum
+        weights = w[(0,) * (x.ndim - 1)][c0:c1]
+        weights.fill(2.0)
+        weights[0] = 2.0 * c0 + 1.0
+        np.cumsum(weights, out=weights)
+        weights /= n
+        zc *= weights
+
+    for fn in (cdf, upper_tail, terms):
+        _run_chunks(fn, ranges)
+    a2 = (-n - np.sum(z, axis=-1)) * (1.0 + 0.75 / n + 2.25 / n**2)
     return float(a2) if x.ndim == 1 else a2
 
 
@@ -169,8 +257,22 @@ def qq_points(t: Trace) -> np.ndarray:
     if t.n < 2:
         raise ValueError("Q-Q plot needs at least 2 samples")
     _variance(t)
-    theoretical = ndtri((np.arange(1, t.n + 1) - 0.5) / t.n)
-    return np.column_stack([theoretical, np.sort(t.values)])
+    n = t.n
+    out = np.empty((n, 2))
+    ordered = np.sort(t.values)
+
+    def fill(c0: int, c1: int) -> None:
+        p = out[c0:c1, 0]
+        # i - 0.5 for i = c0+1..c1 as an exact running sum, then over n
+        p.fill(1.0)
+        p[0] = c0 + 0.5
+        np.cumsum(p, out=p)
+        p /= n
+        ndtri(p, out=p)
+        out[c0:c1, 1] = ordered[c0:c1]
+
+    _run_chunks(fill, _column_ranges(n, _chunk_count(n, n)))
+    return out
 
 
 def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:

@@ -115,8 +115,13 @@ def periodogram(t: Trace) -> SpectrumGrid:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"periodogram needs an even trace of length >= 4, got {n}")
     coeffs = np.fft.rfft(t.values)[1:]
-    ords = (coeffs.real**2 + coeffs.imag**2) / n
-    return SpectrumGrid(_fourier_frequencies(n), ords)
+    ords = np.square(coeffs.real)
+    ords += np.square(coeffs.imag, out=coeffs.real)  # the real parts are spent
+    ords /= n
+    grid = object.__new__(SpectrumGrid)  # its own Fourier frequencies: nothing to check
+    object.__setattr__(grid, "lambdas", _fourier_frequencies(n))
+    object.__setattr__(grid, "values", ords)
+    return grid
 
 
 class _Workspace:

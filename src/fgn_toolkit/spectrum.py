@@ -49,15 +49,21 @@ or 2 pi j for the terms of a partial sum) and then writes B, or
 q = lam^(-2h-1) + B with the power as exp(e log lam), for any h.  1 - cos lam
 is taken as 2 sin^2(lam/2), exact to the last bits at the lowest frequencies.
 
-Because every mode is elementwise, ``_Shape`` writes B and q over
-contiguous column ranges of lam, each with its own slices of the lam-only
-factors and its own work memory.  A call with at least twice
-``_MIN_CHUNK_POWERS`` powers on at least twice ``_MIN_CHUNK_COLUMNS``
-columns runs one range per CPU the process may use, up to ``_MAX_CHUNKS``,
-on worker threads beside the calling thread; smaller calls, and every call
-in a one-CPU process, run serially.  The terms at each lam are added in the
-same order either way, so the result has the same bits whatever the
-chunking.
+Because every mode is elementwise, ``_Shape`` takes its lam-only logs and
+writes B and q over contiguous column ranges of lam, each with its own
+slices of the lam-only factors and its own work memory.  A call with at
+least twice ``_MIN_CHUNK_POWERS`` powers on at least twice
+``_MIN_CHUNK_COLUMNS`` columns runs one range per CPU the process may use,
+up to ``_MAX_CHUNKS``, on worker threads beside the calling thread; smaller
+calls, and every call in a one-CPU process, run serially.  The terms at
+each lam are added in the same order either way, so the result has the
+same bits whatever the chunking.
+
+``_run_chunks`` is the package's one thread runner, and ``_chunk_count``
+its one rule for how many ranges a call takes; the analysis battery uses
+both too.  A range's work writes only into arrays the calling thread
+allocated, each range into its own part, and allocates none itself: no
+worker thread holds memory after a call, and the ranges cannot overlap.
 """
 
 from __future__ import annotations
@@ -99,6 +105,10 @@ _DPRIME_K2 = -0.000134
 # 2048, 4096 and 8192 points: 5.3 -> 6.6, 9.5 -> 10.8, 16.8 -> 18.1 ms),
 # against about 3.9 ms of sums in a 2048-column chunk.  Two 1024-column
 # chunks lost to one whole 2048-point call (q 5.4-6.1 -> 7.7-10.6 ms).
+# The analysis battery counts its work against the same floor in values:
+# block means for variance-time, trace values for A^2 and Q-Q, so those
+# split from about 2^19 values (at 2^18, two ranges of A^2 or Q-Q did not
+# beat one on the 2-vCPU host).
 _MIN_CHUNK_POWERS = 1 << 18
 _MIN_CHUNK_COLUMNS = 2048
 _MAX_CHUNKS = 8
@@ -110,6 +120,48 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _chunk_count(work: int, columns: int) -> int:
+    """How many column ranges a call of ``work`` units over ``columns``
+    columns runs: one per CPU the process may use, up to ``_MAX_CHUNKS``,
+    each with at least ``_MIN_CHUNK_POWERS`` units and one column."""
+    count = min(work // _MIN_CHUNK_POWERS, columns)
+    return min(count, _MAX_CHUNKS, _cpu_count()) if count > 1 else 1
+
+
+def _column_ranges(size: int, count: int) -> list[tuple[int, int]]:
+    """``count`` contiguous ranges of ``size`` columns, as equal as can be."""
+    return [(size * c // count, size * (c + 1) // count) for c in range(count)]
+
+
+def _run_chunks(fn, ranges) -> None:
+    """``fn(c0, c1)`` over each column range: the first on the calling
+    thread, each other on a short-lived thread of its own; the first error
+    raised is re-raised in the calling thread.
+
+    ``fn`` writes only into arrays the calling thread allocated, each range
+    into its own part of them, and allocates no array itself.  One range
+    starts no thread.
+    """
+    errors = []
+
+    def worker(c0: int, c1: int) -> None:
+        try:
+            fn(c0, c1)
+        except Exception as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=r) for r in ranges[1:]]
+    for t in threads:
+        t.start()
+    try:
+        fn(*ranges[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -319,25 +371,35 @@ class _Shape:
     def __init__(self, lam: np.ndarray, mode: BMode) -> None:
         self.lam = lam
         self.mode = mode
-        self.log_lam = np.log(lam)
+        self.log_lam = np.empty_like(lam)
         # two work rows of len(lam); a chunk works in its own columns of both
         self.work = np.empty((2, lam.size))
         self.scratch = self.work[0]
+        self.logs = None
         try:  # numpy refuses some sizes with a ValueError, not a MemoryError
             if mode.kind == "partial":  # 2 pi j for j = 1..N
                 self.tp = 2.0 * np.pi * np.arange(1, mode.terms + 1, dtype=float)
                 powers = 2 * mode.terms
             else:  # log(2 pi j + lam) and log(2 pi j - lam) for j = 1..k+1
-                plus, minus = self.logs = np.empty((2, mode.terms + 1, lam.size))
-                for j, tp in enumerate(2.0 * np.pi * np.arange(1, mode.terms + 2)):
-                    np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
-                    np.log(np.subtract(tp, lam, out=minus[j]), out=minus[j])
+                self.logs = np.empty((2, mode.terms + 1, lam.size))
                 powers = 2 * mode.terms + 4
         except ValueError as exc:
             raise MemoryError(f"B mode {mode} cannot be built on {lam.size} frequencies: {exc}")
         self.dprime = _DPRIME_K1 + _DPRIME_K2 * lam if mode.kind == "doubleprime" else None
         # powers one call takes: what sets how many chunks it is worth
         self.powers = powers * lam.size
+        _run_chunks(self._take_logs, self._chunks())
+
+    def _take_logs(self, c0: int, c1: int) -> None:
+        """log lam, and the tail logs of a truncated mode, on columns c0:c1."""
+        lam = self.lam[c0:c1]
+        np.log(lam, out=self.log_lam[c0:c1])
+        if self.logs is not None:
+            plus, minus = self.logs[:, :, c0:c1]
+            for j in range(self.mode.terms + 1):
+                tp = 2.0 * np.pi * (j + 1)
+                np.log(np.add(tp, lam, out=plus[j]), out=plus[j])
+                np.log(np.subtract(tp, lam, out=minus[j]), out=minus[j])
 
     @staticmethod
     def one_minus_cos(lam: np.ndarray) -> np.ndarray:
@@ -357,32 +419,12 @@ class _Shape:
         """Column ranges of one call: as many as there are CPUs, up to
         ``_MAX_CHUNKS``, each with at least ``_MIN_CHUNK_POWERS`` powers and
         ``_MIN_CHUNK_COLUMNS`` columns."""
-        count = min(self.powers // _MIN_CHUNK_POWERS, self.lam.size // _MIN_CHUNK_COLUMNS)
-        count = min(count, _MAX_CHUNKS, _cpu_count()) if count > 1 else 1
         size = self.lam.size
-        return [(size * c // count, size * (c + 1) // count) for c in range(count)]
+        return _column_ranges(size, _chunk_count(self.powers, size // _MIN_CHUNK_COLUMNS))
 
     def _run(self, h: float, out: np.ndarray, power: bool, chunks) -> np.ndarray:
-        """``_chunk`` over each column range: the first on the calling thread,
-        each other on a thread of its own; the first error raised is re-raised."""
-        errors = []
-
-        def worker(c0: int, c1: int) -> None:
-            try:
-                self._chunk(h, out, power, c0, c1)
-            except Exception as exc:  # handed to the calling thread
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=c) for c in chunks[1:]]
-        for t in threads:
-            t.start()
-        try:
-            self._chunk(h, out, power, *chunks[0])
-        finally:
-            for t in threads:
-                t.join()
-        if errors:
-            raise errors[0]
+        """``_chunk`` over each column range, through ``_run_chunks``."""
+        _run_chunks(lambda c0, c1: self._chunk(h, out, power, c0, c1), chunks)
         return out
 
     def _chunk(self, h: float, out: np.ndarray, power: bool, c0: int, c1: int) -> None:

@@ -22,7 +22,34 @@ from fgn_toolkit import (
 )
 from fgn_toolkit import analyze
 from fgn_toolkit.analyze import ad_statistic, aggregate, default_m_levels
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
+
+
+def force_ranges(monkeypatch, count):
+    """Make the analysis split its passes into ``count`` ranges (fewer where
+    there are fewer columns)."""
+    monkeypatch.setattr(analyze, "_chunk_count", lambda work, columns: min(count, columns))
+
+
+def fast_switching(run):
+    """``run()`` with threads switching every few microseconds."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def peak_bytes(run):
+    """Peak traced allocation while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAggregate:
@@ -46,6 +73,15 @@ class TestAggregate:
     def test_rejects_oversized_level(self, rng):
         with pytest.raises(ValueError):
             aggregate(Trace(rng.standard_normal(10)), 11)
+
+    @pytest.mark.parametrize("n", [4096, 4097, 32768])
+    def test_block_means_keep_numpy_mean_bits(self, rng, n):
+        # column sums below 8 values a block, row reductions from 8
+        t = Trace(rng.standard_normal(n))
+        for m in range(1, 21):
+            k = n // m
+            want = t.values[: k * m].reshape(k, m).mean(axis=1)
+            assert np.array_equal(aggregate(t, m).values, want), m
 
     def test_block_mean_associativity(self, rng):
         t = Trace(rng.standard_normal(240))
@@ -79,6 +115,37 @@ class TestVarianceTime:
         assert curve.norm_vars.tolist() == norm_vars.tolist()
         assert curve.fitted_slope == slope
         assert curve.implied_h == 1.0 + slope / 2.0
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_level_variances_keep_numpy_var_bits(self, synth_cache, count):
+        x = synth_cache(0.8, 32768, 11).values
+        levels = default_m_levels(x.size)[1:]
+        got = analyze._level_variances(x, levels, count)
+        for m, v in zip(levels, got):
+            k = x.size // m
+            assert v == np.var(x[: k * m].reshape(k, m).mean(axis=1), ddof=1), m
+
+    def test_many_threads_with_fast_switching_keep_bits(self, synth_cache):
+        # more ranges than CPUs, switching threads every few microseconds: a
+        # level writing outside its range's buffer region would show
+        x = synth_cache(0.8, 32768, 11).values
+        levels = default_m_levels(x.size)[1:]
+        whole = analyze._level_variances(x, levels, 1)
+        for count in (5, levels.size):
+            for _ in range(3):
+                got = fast_switching(lambda: analyze._level_variances(x, levels, count))
+                assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_peak_memory(self, monkeypatch, count):
+        # at most np.var's one trace-sized temporary (the base variance) and
+        # an eighth more: a level that allocated its own block means would
+        # add half a trace at m = 2
+        n = 2**16
+        t = synthesize_fgn(HurstParam(0.8), n, 5)
+        force_ranges(monkeypatch, count)
+        variance_time_curve(t)  # first-call set-up
+        assert peak_bytes(lambda: variance_time_curve(t)) < 9 * n
 
     def test_synthesized_path_implied_h(self, synth_cache):
         curve = variance_time_curve(synth_cache(0.7, 32768, 303))
@@ -169,6 +236,30 @@ class TestNormalityTest:
         with pytest.raises(ValueError):
             ad_normality_test(Trace(np.full(100, 1.0)))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("n", [20, 1000, 12345])
+    def test_statistic_keeps_the_formula_bits(self, rng, monkeypatch, n, count):
+        # in-place passes on any column ranges: the bits of the expression as
+        # it was written, for each row of a 2-d input and for each row alone
+        force_ranges(monkeypatch, count)
+        x = rng.standard_normal((3, n)) * 2.0 + 1.0
+        y = np.sort(x, axis=-1)
+        mean = x.mean(axis=-1, keepdims=True)
+        sd = x.std(axis=-1, ddof=1, keepdims=True)
+        z = np.clip(ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
+        i = np.arange(1, n + 1)
+        s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
+        want = (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
+        assert ad_statistic(x).tolist() == want.tolist()
+        assert [ad_statistic(row) for row in x] == want.tolist()
+
+    def test_many_threads_with_fast_switching_keep_bits(self, monkeypatch, synth_cache):
+        x = synth_cache(0.8, 32768, 11).values
+        whole = ad_statistic(x)
+        force_ranges(monkeypatch, 32)
+        for _ in range(3):
+            assert fast_switching(lambda: ad_statistic(x)) == whole
+
     def test_statistic_nonnegative_for_gaussian(self, rng):
         assert ad_statistic(rng.standard_normal(1000)) >= 0
 
@@ -195,6 +286,32 @@ class TestQQPoints:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             qq_points(Trace(np.array([1.0])))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 1000, 12345, 32768])
+    def test_keeps_the_column_stack_bits(self, rng, monkeypatch, n, count):
+        force_ranges(monkeypatch, count)
+        x = rng.standard_normal(n)
+        want = np.column_stack([ndtri((np.arange(1, n + 1) - 0.5) / n), np.sort(x)])
+        assert np.array_equal(qq_points(Trace(x)), want)
+
+    def test_many_threads_with_fast_switching_keep_bits(self, monkeypatch, synth_cache):
+        t = synth_cache(0.8, 32768, 11)
+        whole = qq_points(t)
+        force_ranges(monkeypatch, 32)
+        for _ in range(3):
+            assert np.array_equal(fast_switching(lambda: qq_points(t)), whole)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_peak_memory(self, monkeypatch, count):
+        # the (n, 2) result and one sorted copy, and an eighth of a trace
+        # more: a range that allocated its own plotting positions would add
+        # its share of a trace
+        n = 2**16
+        t = synthesize_fgn(HurstParam(0.8), n, 5)
+        force_ranges(monkeypatch, count)
+        qq_points(t)  # first-call set-up
+        assert peak_bytes(lambda: qq_points(t)) < 8 * n * 3 + n
 
 
 ACF_CHILD = """

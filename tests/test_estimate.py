@@ -1,5 +1,6 @@
 """Periodogram and Whittle estimation."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,14 +13,19 @@ import pytest
 from fgn_toolkit import (
     BMode,
     HurstParam,
+    SpectrumGrid,
     Trace,
     fgn_power_spectrum,
     periodogram,
+    qq_points,
+    synthesize_fgn,
+    variance_time_curve,
     whittle_estimate,
     whittle_objective,
     whittle_sigma,
 )
-from fgn_toolkit import estimate
+from fgn_toolkit import estimate, spectrum
+from fgn_toolkit.analyze import ad_statistic
 
 K3 = BMode.truncated(3)
 EXACT = BMode.partial(200)
@@ -57,6 +63,28 @@ class TestPeriodogram:
     def test_rejects_short_or_odd(self, rng, n):
         with pytest.raises(ValueError):
             periodogram(Trace(rng.standard_normal(n)))
+
+    @pytest.mark.parametrize("n", [4, 26, 4096, 32768])
+    def test_matches_the_formula_bit_for_bit(self, rng, n):
+        # squares formed in place keep the bits of (re^2 + im^2) / n, and the
+        # grid is the Fourier frequencies themselves
+        x = rng.standard_normal(n)
+        p = periodogram(Trace(x))
+        coeffs = np.fft.rfft(x)[1:]
+        assert np.array_equal(p.values, (coeffs.real**2 + coeffs.imag**2) / n)
+        assert np.array_equal(p.lambdas, spectrum._fourier_frequencies(n))
+        assert p.n == n
+
+    @pytest.mark.parametrize(
+        "lam, values",
+        [([0.5, 0.5], [1.0, 1.0]), ([0.0, 1.0], [1.0, 1.0]), ([1.0, 4.0], [1.0, 1.0]),
+         ([0.5, 1.0], [1.0, -1.0]), ([], [])],
+        ids=["not-increasing", "zero-frequency", "above-pi", "negative-value", "empty"],
+    )
+    def test_public_grid_still_checks(self, lam, values):
+        # only periodogram skips the checks, for the grid it built itself
+        with pytest.raises(ValueError):
+            SpectrumGrid(np.array(lam), np.array(values))
 
 
 class TestWhittleObjective:
@@ -473,7 +501,8 @@ class TestWhittleSigma:
             assert np.isfinite(v) and v > 0
 
 
-ONE_CPU_CHILD = """
+# pins a child interpreter to one CPU and counts the threads it starts
+PINNED_PRELUDE = """
 import os, threading
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 starts = []
@@ -482,6 +511,9 @@ def counted_start(self):
     starts.append(self)
     _start(self)
 threading.Thread.start = counted_start
+"""
+
+ONE_CPU_CHILD = PINNED_PRELUDE + """
 from fgn_toolkit import BMode, HurstParam, synthesize_fgn, whittle_estimate
 trace = synthesize_fgn(HurstParam(0.7), 32768, 6, BMode.truncated(3))
 for mode in ("exact", "fast"):
@@ -504,4 +536,43 @@ def test_one_cpu_process_gives_same_estimates_and_starts_no_thread(synth_cache, 
         r = whittle_estimate(trace, mode)
         ours.append(f"{r.h_hat.hex()} {r.sigma_h.hex()} {r.objective.hex()}")
     assert child == ours
+    assert thread_starts == "0"
+
+
+ONE_CPU_ANALYSIS_CHILD = PINNED_PRELUDE + """
+import hashlib
+from fgn_toolkit import HurstParam, qq_points, synthesize_fgn, variance_time_curve
+from fgn_toolkit.analyze import ad_statistic
+from fgn_toolkit.spectrum import FAST, _Shape, _fourier_frequencies
+sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+trace = synthesize_fgn(HurstParam(0.8), 2**19, 7)
+vt = variance_time_curve(trace)
+print(sha(trace.values), sha(vt.norm_vars), vt.fitted_slope.hex(), vt.implied_h.hex())
+print(sha(qq_points(trace)), ad_statistic(trace.values).hex())
+shape = _Shape(_fourier_frequencies(2**18), FAST)
+print(sha(shape.log_lam), sha(shape.logs), sha(shape.q(0.7, shape.lam.copy())))
+print(len(starts))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_process_gives_same_analysis_and_starts_no_thread(child_env):
+    # the variance-time levels, the Q-Q columns, the A^2 passes and a
+    # 2^17-point fast shape's lam-only logs are spread over the CPUs; pinned
+    # to one CPU a process starts no thread and every bit is the same
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_ANALYSIS_CHILD], capture_output=True,
+                          text=True, env=child_env, check=True, timeout=300)
+    *child, thread_starts = proc.stdout.split("\n")[:-1]
+
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    trace = synthesize_fgn(HurstParam(0.8), 2**19, 7)
+    vt = variance_time_curve(trace)
+    shape = spectrum._Shape(spectrum._fourier_frequencies(2**18), FAST)
+    assert child == [
+        f"{sha(trace.values)} {sha(vt.norm_vars)} {vt.fitted_slope.hex()} {vt.implied_h.hex()}",
+        f"{sha(qq_points(trace))} {ad_statistic(trace.values).hex()}",
+        f"{sha(shape.log_lam)} {sha(shape.logs)} {sha(shape.q(0.7, shape.lam.copy()))}",
+    ]
     assert thread_starts == "0"

@@ -389,6 +389,20 @@ class TestChunks:
             finally:
                 sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("mode", [FAST, BMode.truncated(1), EXACT], ids=str)
+    def test_logs_taken_on_chunks_equal_whole(self, monkeypatch, mode):
+        # the lam-only logs of a grid this large are taken per column range
+        lam = fourier_grid(2**18)
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 1)
+        whole = _Shape(lam, mode)
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 64)
+        split = _Shape(lam, mode)
+        assert len(split._chunks()) > 1
+        assert np.array_equal(split.log_lam, whole.log_lam)
+        assert np.array_equal(split.log_lam, np.log(lam))
+        if mode.kind != "partial":
+            assert np.array_equal(split.logs, whole.logs)
+
     def test_worker_error_reaches_caller(self):
         # a chunk that fails on a worker thread raises in the calling thread
         lam = fourier_grid(4096)
