@@ -4,9 +4,11 @@ Covers block-mean aggregation, variance-time curves with a least-squares
 slope fit (slope -2(1-H) for a self-similar process, so the implied Hurst
 parameter is 1 + slope/2), the Anderson-Darling A^2 test for marginal
 normality with estimated mean and variance, normal Q-Q plot data and the
-sample autocorrelation.  The autocorrelation sums every lag at once as a
-blocked Gram product of the trace's consecutive blocks (BLAS matrix
-products, O(n (max_lag + 1024)) work, a few MB of scratch for any lag).
+sample autocorrelation.  Each rejects a trace with no spread by the
+trace's own rule (``Trace``: constant, or an overflowing variance).  The
+autocorrelation sums every lag at once as a blocked Gram product of the
+trace's consecutive blocks (BLAS matrix products, O(n (max_lag + 1024))
+work, a few MB of scratch for any lag).
 
 The variance-time levels, the elementwise passes of A^2 and the Q-Q
 quantiles run on ranges (of levels, or of columns) through
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import _chunk_count, _column_ranges, _run_chunks
-from .synth import Trace, _is_constant
+from .synth import Trace
 
 __all__ = [
     "VarianceTimeCurve",
@@ -74,17 +76,6 @@ class NormalityReport:
     a2_statistic: float
     pass_at_5pct: bool
     n: int
-
-
-def _variance(t: Trace) -> float:
-    """Sample variance (ddof=1) of a trace that has some to divide by.
-
-    Raises ``ValueError`` for a constant trace (``synth._is_constant``).
-    """
-    var = float(np.var(t.values, ddof=1))
-    if _is_constant(t, var):
-        raise ValueError("degenerate (constant) trace")
-    return var
 
 
 def default_m_levels(n: int) -> np.ndarray:
@@ -163,12 +154,14 @@ def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
     m <= n/10.  The slope fit weights all levels equally even though the
     power law is asymptotic, so small levels can bias it slightly.
     """
+    if m_levels is None and t.n < 20:  # the default levels would be [1]
+        raise ValueError(f"variance-time needs at least 20 samples, got {t.n}")
     levels = default_m_levels(t.n) if m_levels is None else np.asarray(m_levels, dtype=int)
     if levels.size < 2 or levels[0] != 1 or np.any(np.diff(levels) <= 0):
         raise ValueError("aggregation levels must be strictly increasing and start at 1")
     if np.any(levels > t.n // 10):
         raise ValueError("every aggregation level must leave at least 10 points (m <= n/10)")
-    base_var = _variance(t)
+    base_var = t._spread()
     # level 1 is the trace itself, whose normalized variance is 1 by definition
     norm_vars = np.ones(levels.size)
     count = _chunk_count(int(np.sum(t.n // levels[1:])), levels.size - 1)
@@ -240,7 +233,7 @@ def ad_normality_test(t: Trace) -> NormalityReport:
     """A^2 test of marginal normality at the 5% level, n >= 20."""
     if t.n < 20:
         raise ValueError("normality test needs at least 20 samples")
-    _variance(t)
+    t._spread()
     a2 = ad_statistic(t.values)
     return NormalityReport(a2_statistic=a2, pass_at_5pct=a2 < AD_CRITICAL_5PCT, n=t.n)
 
@@ -256,7 +249,7 @@ def qq_points(t: Trace) -> np.ndarray:
 
     if t.n < 2:
         raise ValueError("Q-Q plot needs at least 2 samples")
-    _variance(t)
+    t._spread()
     n = t.n
     out = np.empty((n, 2))
     ordered = np.sort(t.values)
@@ -297,7 +290,7 @@ def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
     max_lag = int(max_lag)
     if max_lag < 0 or max_lag >= t.n / 4:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < n/4, got {max_lag}")
-    _variance(t)
+    t._spread()
     p = min(max_lag + 1, _ACF_BLOCK)
     m = -(-t.n // p)
     padded = np.zeros(m * p)

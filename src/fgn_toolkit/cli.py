@@ -26,7 +26,7 @@ import numpy as np
 from . import analyze, traffic
 from .estimate import _H_HI, _H_LO, whittle_estimate
 from .spectrum import NEAR_EXACT, BMode, HurstParam, _spectrum_from_b, spectrum_b
-from .synth import Trace, _is_constant, make_rng, rescale_trace, synthesize_fgn
+from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
 from .traceio import FORMATS, _write_lines, read_trace, write_trace
 
 __all__ = ["main"]
@@ -150,6 +150,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     loaded = _load_trace(args.infile, args.format)
+    if loaded.n < 4:  # the periodogram's rule, on the length as read
+        raise ValueError(f"estimate needs at least 4 samples, got {loaded.n}")
     # the periodogram takes an even length: an odd trace loses its last value
     trace = Trace(loaded.values[:-1], loaded.provenance) if loaded.n % 2 else loaded
     result = whittle_estimate(trace, args.mode, tol=args.tol)
@@ -208,7 +210,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     try:
         trace = _apply_rescale_flags(trace, args)
     except ValueError as exc:
-        if _is_constant(trace, trace.sd()):  # the trace's fault, not the flags'
+        if trace._degeneracy is not None:  # the trace's fault, not the flags'
             raise
         raise _UsageError(f"--mean/--sd take the rescaled trace out of range: {exc}") from None
     if args.transform == "exp2":

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import BMode, HurstParam, SpectrumGrid, _fourier_frequencies, _Shape
-from .synth import Trace, _is_constant
+from .synth import Trace
 
 __all__ = [
     "WhittleResult",
@@ -263,7 +263,7 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     an end of the search interval, i.e. no evaluated point showed the
     objective rising again beyond h_hat on that side; that is the expected
     outcome for white-noise-like input, whose true h sits at the 0.5
-    boundary.  A constant trace (``synth._is_constant``) raises
+    boundary.  A trace with no spread (``Trace``'s one rule) raises
     ``ValueError``.  The objective's lam-only factors and work buffers are
     built once per estimate (see ``_Workspace``) and freed with it; for
     n <= 2^15 the search opens with five golden-section steps, and the
@@ -272,8 +272,7 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     """
     if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
         raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
-    if _is_constant(t, t.sd()):
-        raise ValueError("degenerate (constant) trace")
+    t._spread()
     ws = _Workspace(periodogram(t), mode)
     if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
         ws.table = _opening_table(t.n, mode)

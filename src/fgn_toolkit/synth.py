@@ -25,6 +25,8 @@ versions.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +61,20 @@ class TraceProvenance:
 
 @dataclass(frozen=True)
 class Trace:
-    """An ordered, finite, real-valued sample path."""
+    """An ordered, finite, real-valued sample path whose ``values``, a view
+    of the array given, are read-only: its variance and degeneracy verdict
+    are computed once, on first use, and kept."""
 
     values: np.ndarray
     provenance: TraceProvenance | None = None
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(self.values, dtype=float).view()
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("trace must be a nonempty 1-d array")
         if not np.all(np.isfinite(vals)):
             raise ValueError("trace values must all be finite")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -80,8 +85,29 @@ class Trace:
         return float(self.values.mean())
 
     def sd(self) -> float:
-        """Sample standard deviation (ddof=1)."""
-        return float(self.values.std(ddof=1)) if self.n > 1 else 0.0
+        """Sample standard deviation (ddof=1), 0.0 for a single value."""
+        return math.sqrt(self._var)
+
+    @functools.cached_property
+    def _var(self) -> float:
+        """Sample variance (ddof=1), ``np.var``'s bits; inf or nan, unwarned, on overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.var(self.values, ddof=1)) if self.n > 1 else 0.0
+
+    @functools.cached_property
+    def _degeneracy(self) -> str | None:
+        """Why the trace has no spread to divide by, or None, by the one rule:
+        a variance that is not finite, or of 0 (subnormal differences), or a
+        range of 0 (a constant whose float mean is not its value)."""
+        if not math.isfinite(self._var):
+            return "the sample variance overflows the float range"
+        return "constant" if self._var == 0.0 or np.ptp(self.values) == 0.0 else None
+
+    def _spread(self, constant: str = "degenerate (constant) trace") -> float:
+        """The variance, or ``ValueError`` (``constant`` for a constant trace)."""
+        if self._degeneracy is not None:
+            raise ValueError(constant if self._degeneracy == "constant" else self._degeneracy)
+        return self._var
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
@@ -144,28 +170,15 @@ def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
     return Trace(values, TraceProvenance(h=h, seed=None, mode=None))
 
 
-def _is_constant(t: Trace, spread: float) -> bool:
-    """The one constant-trace rule: the sample sd or variance ``spread`` is
-    0, or the range is.
-
-    The range catches a constant whose float mean is not its value (20 x
-    5.3e14 has sd 0.19); the spread catches differences so small (subnormal)
-    that every squared deviation is 0.
-    """
-    return spread == 0.0 or np.ptp(t.values) == 0.0
-
-
 def rescale_trace(t: Trace, target_mean: float, target_sd: float) -> Trace:
     """Affine map of a trace to the requested sample mean and sd (ddof=1).
 
-    Raises ``ValueError``, with no numpy warning first, when a rescaled
-    value overflows.
+    Raises ``ValueError`` for a trace with no spread (see :class:`Trace`)
+    and, with no numpy warning first, when a rescaled value overflows.
     """
     if target_sd <= 0:
         raise ValueError("target standard deviation must be positive")
-    sd = t.sd()
-    if _is_constant(t, sd):
-        raise ValueError("cannot rescale a constant trace")
+    sd = math.sqrt(t._spread("cannot rescale a constant trace"))
     with np.errstate(over="ignore", invalid="ignore"):  # the Trace check reports it
         values = (t.values - t.mean()) * (target_sd / sd) + target_mean
     return Trace(values, t.provenance)

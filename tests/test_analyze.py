@@ -138,9 +138,10 @@ class TestVarianceTime:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_peak_memory(self, monkeypatch, count):
-        # at most np.var's one trace-sized temporary (the base variance) and
-        # an eighth more: a level that allocated its own block means would
-        # add half a trace at m = 2
+        # at most np.var's one trace-sized temporary (the base variance,
+        # which the trace keeps from the set-up call) and an eighth more: a
+        # level that allocated its own block means would add half a trace
+        # at m = 2
         n = 2**16
         t = synthesize_fgn(HurstParam(0.8), n, 5)
         force_ranges(monkeypatch, count)
@@ -170,6 +171,12 @@ class TestVarianceTime:
         with pytest.raises(ValueError):
             variance_time_curve(t, [1, 2, 20])
 
+    def test_default_levels_name_a_short_length(self, rng):
+        # below 20 values the default levels are just [1]
+        with pytest.raises(ValueError, match="^variance-time needs at least 20 samples, got 15$"):
+            variance_time_curve(Trace(rng.standard_normal(15)))
+        assert variance_time_curve(Trace(rng.standard_normal(20))).m_levels.tolist() == [1, 2]
+
     def test_rejects_levels_not_starting_at_one(self, rng):
         t = Trace(rng.standard_normal(1000))
         with pytest.raises(ValueError):
@@ -180,6 +187,18 @@ class TestVarianceTime:
         assert levels[0] == 1
         assert levels[-1] <= 3276
         assert np.all(np.diff(levels) > 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("analysis", [
+    variance_time_curve, ad_normality_test, qq_points,
+    lambda t: sample_autocorrelation(t, 3),
+], ids=["vt", "ad", "qq", "acf"])
+def test_overflowing_variance_is_degenerate(rng, analysis):
+    # 64 normals x 1e200: vt used to report a vanishing level after 3
+    # warnings, ad a2 = 25.03, acf nan
+    with pytest.raises(ValueError, match="^the sample variance overflows the float range$"):
+        analysis(Trace(rng.standard_normal(64) * 1e200))
 
 
 class TestNormalityTest:

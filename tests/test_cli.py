@@ -141,6 +141,17 @@ class TestEstimate:
     def test_missing_file_exits_3(self, tmp_path):
         assert run("estimate", "--in", str(tmp_path / "absent.txt")) == 3
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_short_trace_names_its_length(self, tmp_path, capsys, n):
+        # the length as read, before an odd last value is dropped
+        path = tmp_path / "short.txt"
+        write_values(path, [0.1, -0.4, 0.3][:n])
+        assert run("estimate", "--in", str(path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degenerate trace: estimate needs at least 4 samples, got {n}\n")
+
     def test_odd_length_trace_drops_last_value(self, tmp_path, capsys, synth_cache):
         # the periodogram takes an even length: an odd trace is estimated
         # from its first n - 1 values, with one note on stderr
@@ -240,6 +251,16 @@ class TestAnalyze:
         path = tmp_path / "c.txt"
         write_values(path, np.full(256, 1.0))
         assert run("analyze", "--in", str(path), "--what", "normality") == 4
+
+    def test_short_trace_vt_names_its_length(self, tmp_path, rng, capsys):
+        # no levels were given: the default levels of 15 values are just [1]
+        path = tmp_path / "short.txt"
+        write_values(path, rng.standard_normal(15))
+        assert run("analyze", "--in", str(path), "--what", "vt") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degenerate trace: variance-time needs at least 20 samples, got 15\n")
 
     def test_constant_trace_qq_exits_4_before_writing(self, tmp_path, capsys):
         # r^2 of a constant trace's Q-Q points is 0/0: one error line, no CSV

@@ -374,10 +374,16 @@ class TestWhittleEstimate:
             whittle_estimate(Trace(np.full(64, 2.0)), K3)
 
     def test_rejects_subnormal_spread_trace(self):
-        # 0 and 5e-324 have a range but no sd (synth._is_constant), and
+        # 0 and 5e-324 have a range but no sd (the trace's rule), and
         # their periodogram underflows to 0
         with pytest.raises(ValueError, match="constant"):
             whittle_estimate(Trace(np.array([0.0, 5e-324] * 10)), K3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_variance(self, rng):
+        # it returned h_hat = 0.9987 for 64 normals x 1e200
+        with pytest.raises(ValueError, match="variance overflows"):
+            whittle_estimate(Trace(rng.standard_normal(64) * 1e200), K3)
 
     def test_rejects_tiny_tolerance(self, rng):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from fgn_toolkit import (
     whittle_estimate,
     whittle_objective,
 )
-from fgn_toolkit import estimate, synth
+from fgn_toolkit import estimate
 
 MODES = st.one_of(
     st.integers(1, 6).map(BMode.truncated),
@@ -58,9 +58,8 @@ def brent_opening_points():
 
 
 def not_constant(values):
-    """The estimator's own rule (``synth._is_constant``): a range and an sd."""
-    t = Trace(values)
-    return not synth._is_constant(t, t.sd())
+    """The estimator's own rule, the trace's verdict: a range and a variance."""
+    return Trace(values)._degeneracy is None
 
 
 TRACES = hnp.arrays(

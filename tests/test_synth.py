@@ -1,17 +1,27 @@
 """Synthesis: full paths against their documented draw order, phases, rescaling."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fgn_toolkit import (
     BMode,
     HurstParam,
     Trace,
+    ad_normality_test,
     fgn_power_spectrum,
     make_rng,
     periodogram,
+    qq_points,
     rescale_trace,
+    sample_autocorrelation,
     synthesize_fgn,
+    variance_time_curve,
     whittle_estimate,
 )
 
@@ -156,6 +166,12 @@ class TestRescaleTrace:
             rescale_trace(t, 3.0, 0.5)
 
     @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_variance(self, rng):
+        # it returned a trace of all target_mean (sd 0) after an overflow warning
+        with pytest.raises(ValueError, match="variance overflows"):
+            rescale_trace(Trace(rng.standard_normal(64) * 1e200), 3.0, 0.5)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflow_raises_without_numpy_warning(self, rng):
         with pytest.raises(ValueError, match="finite"):
             rescale_trace(Trace(rng.standard_normal(64)), 0.0, 1e308)
@@ -177,3 +193,39 @@ class TestTraceValidation:
             Trace(np.array([]))
         with pytest.raises(ValueError):
             Trace(np.zeros((2, 2)))
+
+
+class TestTraceSpread:
+    """The variance and the degeneracy verdict, each computed once per trace."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=hnp.arrays(float, st.integers(1, 64), elements=st.floats(-1e150, 1e150)))
+    @example(values=np.full(20, 529835250278883.0))
+    @example(values=np.array([0.0, 5e-324] * 10))
+    @example(values=np.array([0.7]))
+    def test_sd_and_verdict_follow_numpy(self, values):
+        t = Trace(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # np.std of one value is nan
+            std = float(np.std(values, ddof=1))
+        assert t.sd().hex() == (0.0 if values.size == 1 else std).hex()
+        assert (t._degeneracy is not None) == (std == 0.0 or np.ptp(values) == 0.0)
+
+    def test_values_are_read_only(self):
+        given_values = np.arange(8.0)
+        t = Trace(given_values)
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0] = 1.0
+        assert given_values.flags.writeable
+
+    def test_pipeline_takes_the_variance_once(self):
+        t = synthesize_fgn(HurstParam(0.8), 4096, 21)
+        with mock.patch.object(np, "var", wraps=np.var) as var, \
+                mock.patch.object(np, "ptp", wraps=np.ptp) as ptp:
+            whittle_estimate(t, FAST)
+            variance_time_curve(t)
+            ad_normality_test(t)
+            qq_points(t)
+            sample_autocorrelation(t, 100)
+            rescale_trace(t, 3.0, 0.5)
+        assert var.call_count == 1 and ptp.call_count == 1
