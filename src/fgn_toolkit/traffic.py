@@ -5,10 +5,12 @@ to a target mean/sd or by the exponential map y = 2**x (which keeps the
 long-range dependence of the input while guaranteeing positive values).
 Real values then become integer per-bin counts, and counts become event
 times within their bins, spread uniformly (approximately exponential
-interarrivals) or evenly (constant interarrivals).  Event times are
-written into one preallocated array a block of bins at a time, so the
-conversion's peak memory is little more than its output; one pass over
-that array then checks their order once and nudges ties in both spreads.
+interarrivals) or evenly (constant interarrivals): bin b of width w puts
+its arrivals at (b + f) w for fractions f in [0, 1), rounded so that no
+time leaves [b w, (b + 1) w].  Event times are written into one
+preallocated array a block of bins at a time, so the conversion's peak
+memory is little more than its output; one pass over that array then
+nudges ties in both spreads.
 """
 
 from __future__ import annotations
@@ -52,14 +54,20 @@ class ArrivalTrace:
     clamp_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-d array")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
-        object.__setattr__(self, "counts", counts)
+        if counts.dtype.kind in "biu":  # a uint64 count from 2**63 on wraps negative
+            counts = counts.astype(np.int64, copy=False)
+            valid = not counts.size or counts.min() >= 0
+        else:  # NaN fails every comparison
+            values = counts.astype(float)
+            valid = np.all((values >= 0) & (values < _MAX_COUNT) & (values == np.rint(values)))
+        if not valid:
+            raise ValueError("counts must be nonnegative integers below 2**63")
+        if not 0 < self.bin_width < np.inf:
+            raise ValueError("bin width must be finite and positive")
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @property
     def total(self) -> int:
@@ -78,7 +86,7 @@ class InterarrivalSeq:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1:
             raise ValueError("times must be a 1-d array")
-        if times.size and (times[0] < 0 or np.any(times[1:] <= times[:-1])):
+        if times.size and not (times[0] >= 0 and np.all(times[1:] > times[:-1])):
             raise ValueError("times must be nonnegative and strictly increasing")
         object.__setattr__(self, "times", times)
 
@@ -130,28 +138,27 @@ def counts_to_interarrivals(
     spread: str = "uniform",
     rng: np.random.Generator | None = None,
 ) -> InterarrivalSeq:
-    """Place each bin's arrivals inside its half-open interval, up to rounding.
+    """Place each bin's arrivals inside its interval, strictly increasing.
 
-    ``spread="uniform"`` draws sorted i.i.d. uniform positions (needs
-    ``rng``); ``spread="even"`` places count c at offsets (j + 0.5)/c,
-    j = 0..c-1, centering constant gaps away from bin edges.  The output
-    always contains exactly sum(counts) strictly increasing times, checked
-    once by ``_break_ties``, which breaks an exact tie in either spread by a
-    one-ulp nudge (an even tie needs over 2**22 bins before a bin of ~2**31).
-    A uniform time is fl(fl(b w) + fl(u w)) for bin b and width w, which
-    for u within a few ulps of 1 can exceed fl((b + 1) w), the bin's end:
-    a chance of order 1e-16 per arrival, with strict increase kept.
-    Raises ``ValueError`` before allocating when the total exceeds 2**31
-    or when the last bin's end, len(counts) * bin_width, overflows.
+    Bin b of width w holds its arrivals at fl(fl(b + f) w).
+    ``spread="uniform"`` draws f as sorted i.i.d. uniforms in [0, 1) (needs
+    ``rng``); ``spread="even"`` puts count c at f = (j + 0.5)/c,
+    j = 0..c-1, centering constant gaps away from bin edges.  As
+    fl(b + f) <= b + 1 and rounding is monotone, every placed time lies in
+    [fl(b w), fl((b + 1) w)], so bins never overlap; at unit width a time
+    is fl(b + f).  ``_break_ties`` then nudges each exact tie up one ulp
+    (an even tie needs over 2**22 bins before a bin of ~2**31), leaving
+    exactly sum(counts) strictly increasing times.  Raises ``ValueError``
+    before allocating when the total exceeds 2**31 or when the last bin's
+    end, len(counts) * bin_width, overflows.
 
     The times are written into one preallocated array, one block of
     ``_BLOCK_BINS`` bins at a time, so each block's arithmetic and sort
     run while its arrivals sit in cache and no other array of the output's
     length is made: peak memory is the output plus a block's temporaries.
     Uniform mode fills the whole array from ``rng`` first (the stream of
-    ``rng.random(total)``), then scales, shifts and sorts block by block.
-    Bins are disjoint and ordered, so the block sorts give the bits of one
-    global sort but for the rare time rounded past the next block's first.
+    ``rng.random(total)``), then shifts, scales and sorts block by block;
+    as bins never overlap, that gives the bits of one global sort.
     """
     if spread not in ("uniform", "even"):
         raise ValueError(f"spread must be 'uniform' or 'even', got {spread!r}")
@@ -178,19 +185,16 @@ def counts_to_interarrivals(
             continue
         c = counts[b0 : b0 + _BLOCK_BINS]
         seg = times[start:stop]
-        starts = np.repeat(np.arange(b0, b0 + c.size, dtype=float) * width, c)
-        if uniform:
-            seg *= width
-            seg += starts
-            seg.sort()
-        else:
+        if not uniform:
             # index of each event within its bin, exact in float64 below 2**53
             np.subtract(np.arange(size, dtype=float),
                         np.repeat((np.cumsum(c) - c).astype(float), c), out=seg)
             seg += 0.5
-            seg *= width
             seg /= np.repeat(c.astype(float), c)
-            seg += starts
+        seg += np.repeat(np.arange(b0, b0 + c.size, dtype=float), c)
+        seg *= width
+        if uniform:
+            seg.sort()
     _break_ties(times)
     seq = object.__new__(InterarrivalSeq)  # _break_ties has made and checked the order
     object.__setattr__(seq, "times", times)
@@ -198,19 +202,13 @@ def counts_to_interarrivals(
 
 
 def _break_ties(times: np.ndarray) -> None:
-    """Make ``times`` strictly increasing: the one check of their order.
+    """Make nondecreasing ``times`` strictly increasing: the one check of their order.
 
-    A pair out of order is a time rounded past a later bin's start (in
-    uniform mode, at a block edge) and sorts the whole array once.  Each
-    remaining tie is raised to the next float, left to right; a nudge can
-    only tie the time after it, so following each cascade gives the bits
-    of a sweep over every time.
+    Each tie is raised to the next float, left to right; a nudge can only
+    tie the time after it, so following each cascade gives the bits of a
+    sweep over every time.
     """
-    ties = np.flatnonzero(times[1:] <= times[:-1]) + 1
-    if ties.size and np.any(times[ties] < times[ties - 1]):
-        times.sort()
-        ties = np.flatnonzero(times[1:] <= times[:-1]) + 1
-    for i in ties.tolist():
+    for i in (np.flatnonzero(times[1:] <= times[:-1]) + 1).tolist():
         while i < times.size and times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], np.inf)
             i += 1

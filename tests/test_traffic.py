@@ -1,14 +1,20 @@
 """Trace-to-traffic conversions: exp2 map, integer counts, interarrivals."""
 
+import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from fgn_toolkit import (
     ArrivalTrace,
     BMode,
+    InterarrivalSeq,
     Trace,
     counts_to_interarrivals,
     exp2_transform,
@@ -20,6 +26,9 @@ from fgn_toolkit import (
 from fgn_toolkit import traffic
 
 BLOCK = traffic._BLOCK_BINS
+U_MAX = 1.0 - 2.0**-53  # the largest uniform a generator draws
+BAD_COUNTS = r"counts must be nonnegative integers below 2\*\*63"
+BAD_WIDTH = "bin width must be finite and positive"
 
 
 class FixedUniforms:
@@ -34,16 +43,16 @@ class FixedUniforms:
 
 
 def out_of_place(counts, width, spread, uniforms=None):
-    """Both spreads as plain whole-array expressions, ties swept over every time."""
-    starts = np.repeat(np.arange(counts.size, dtype=float) * width, counts)
+    """Both spreads as plain whole-array expressions (f + b) w, ties swept over every time."""
+    bins = np.repeat(np.arange(counts.size, dtype=float), counts)
     if spread == "even":
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        return starts + (within + 0.5) * width / np.repeat(counts, counts).astype(float)
-    times = np.sort(starts + width * uniforms)
-    for i in range(1, times.size):
+        return ((within + 0.5) / np.repeat(counts, counts).astype(float) + bins) * width
+    times = np.sort((uniforms + bins) * width).tolist()
+    for i in range(1, len(times)):
         if times[i] <= times[i - 1]:
-            times[i] = np.nextafter(times[i - 1], np.inf)
-    return times
+            times[i] = math.nextafter(times[i - 1], math.inf)
+    return np.array(times)
 
 
 class TestExp2Transform:
@@ -132,6 +141,36 @@ class TestArrivalTraceValidation:
     def test_total_of_counts_overflowing_int64_is_exact(self):
         assert ArrivalTrace(np.array([2**62] * 3), 1.0).total == 3 * 2**62
 
+    @pytest.mark.parametrize("counts, width, message", [
+        ([1.5, 2.7], 1.0, BAD_COUNTS),
+        ([np.nan], 1.0, BAD_COUNTS),
+        ([np.inf], 1.0, BAD_COUNTS),
+        ([1e30], 1.0, BAD_COUNTS),
+        (np.array([2**63], dtype=np.uint64), 1.0, BAD_COUNTS),
+        ([2**64], 1.0, BAD_COUNTS),
+        ([-0.5], 1.0, BAD_COUNTS),
+        ([1, 2], np.nan, BAD_WIDTH),
+        ([1, 2], np.inf, BAD_WIDTH),
+    ])
+    def test_rejects_what_int64_counts_cannot_hold(self, counts, width, message):
+        # one ValueError, with no numpy warning and no silent truncation or wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ArrivalTrace(counts, width)
+
+    def test_keeps_integral_floats_and_the_largest_int64(self):
+        assert ArrivalTrace([3.0, 0.0], 1.0).counts.tolist() == [3, 0]
+        top = np.array([2**63 - 1], dtype=np.uint64)
+        assert ArrivalTrace(top, 1.0).counts.tolist() == [2**63 - 1]
+
+
+class TestInterarrivalSeqValidation:
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan], [1.0, 0.5], [-1.0]])
+    def test_rejects_nan_and_unordered_times(self, times):
+        with pytest.raises(ValueError, match="nonnegative and strictly increasing"):
+            InterarrivalSeq(np.array(times))
+
 
 class TestCountsToInterarrivals:
     def test_empty_bins_give_empty_sequence(self):
@@ -171,12 +210,12 @@ class TestCountsToInterarrivals:
         counts = make_rng(11).integers(0, 40, size=3000)
         counts[::7] = 0
         a = ArrivalTrace(counts, 0.37)
-        starts = np.repeat(np.arange(counts.size, dtype=float) * 0.37, counts)
+        bins = np.repeat(np.arange(counts.size, dtype=float), counts)
         if spread == "uniform":
-            want = np.sort(starts + 0.37 * make_rng(5).random(int(counts.sum())))
+            want = np.sort((make_rng(5).random(int(counts.sum())) + bins) * 0.37)
         else:
             within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            want = starts + (within + 0.5) * 0.37 / np.repeat(counts, counts).astype(float)
+            want = ((within + 0.5) / np.repeat(counts, counts).astype(float) + bins) * 0.37
         got = counts_to_interarrivals(a, spread, rng=make_rng(5)).times
         assert np.array_equal(got, want)
 
@@ -273,43 +312,66 @@ class TestInterarrivalBlocks:
                                       rng=FixedUniforms(uniforms))
         assert np.array_equal(got.times, want)
 
-    def test_time_rounded_past_the_next_block_is_merged(self):
-        # the largest uniform can round a bin's last time above the next
-        # bin's start; across a block edge the blocks' sorts alone would
-        # leave that pair out of order
-        u_max = 1.0 - 2.0**-53
+    def test_largest_uniform_ends_at_most_at_the_next_block(self):
+        # at this width fl(fl(b w) + fl(u w)) would round bin edge - 1's last
+        # time above edge w; fl(fl(b + u) w) ends the bin at edge w, where it
+        # ties the next block's first time, which the tie pass nudges
         edge = 3 * BLOCK
         width = next(w for w in 0.1 + np.arange(1000) / 1000
-                     if (edge - 1) * w + u_max * w > edge * w)
+                     if (edge - 1) * w + U_MAX * w > edge * w)
         counts = np.zeros(edge + 1, dtype=np.int64)
         counts[[0, edge - 1, edge]] = 2
-        uniforms = np.array([0.2, 0.4, 0.5, u_max, 0.0, 0.5])
-        want = out_of_place(counts, width, "uniform", uniforms)
-        assert want[3] == edge * width  # bin edge's first time sorts before bin edge - 1's last
+        uniforms = np.array([0.2, 0.4, 0.5, U_MAX, 0.0, 0.5])
         got = counts_to_interarrivals(ArrivalTrace(counts, width), "uniform",
-                                      rng=FixedUniforms(uniforms))
-        assert np.array_equal(got.times, want)
+                                      rng=FixedUniforms(uniforms)).times
+        assert got[3] <= edge * width
+        assert got[4] == np.nextafter(edge * width, np.inf)
+        assert np.array_equal(got, out_of_place(counts, width, "uniform", uniforms))
 
-    def test_time_rounded_past_a_block_edge_and_a_tie_in_another_block(self):
-        # block 1 holds an exact tie; bin edge - 1's last time rounds past
-        # the next block's first time and equals that block's second, so
-        # the global sort that merges the edge makes a tie of its own
-        u_max = 1.0 - 2.0**-53
+    def test_largest_uniform_at_a_block_edge_beside_a_tie(self):
+        # block 1 holds an exact tie, and bin edge - 1 ends at a width and
+        # uniform that once rounded its last time past the next block's first
         edge = 3 * BLOCK
         width = next(w for w in 0.1 + np.arange(1000) / 1000
-                     if (edge - 1) * w + u_max * w > edge * w)
-        past = (edge - 1) * width + u_max * width
+                     if (edge - 1) * w + U_MAX * w > edge * w)
+        past = (edge - 1) * width + U_MAX * width
         counts = np.zeros(edge + 1, dtype=np.int64)
         counts[[0, BLOCK + 7, edge - 1, edge]] = [2, 3, 2, 2]
-        uniforms = np.array([0.2, 0.4, 0.25, 0.25, 0.75, 0.5, u_max, 0.0,
+        uniforms = np.array([0.2, 0.4, 0.25, 0.25, 0.75, 0.5, U_MAX, 0.0,
                              (past - edge * width) / width])
-        want = out_of_place(counts, width, "uniform", uniforms)
-        assert want[3] == np.nextafter(want[2], np.inf)  # block 1's nudged tie
-        assert want[6] == edge * width  # the merged edge
-        assert want[7] == past and want[8] == np.nextafter(past, np.inf)  # the sort's tie
         got = counts_to_interarrivals(ArrivalTrace(counts, width), "uniform",
-                                      rng=FixedUniforms(uniforms))
-        assert np.array_equal(got.times, want)
+                                      rng=FixedUniforms(uniforms)).times
+        assert got[3] == np.nextafter(got[2], np.inf)  # block 1's nudged tie
+        assert got[6] <= edge * width
+        assert np.array_equal(got, out_of_place(counts, width, "uniform", uniforms))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spread=st.sampled_from(["uniform", "even"]), bins=st.integers(1, 3 * BLOCK),
+           seed=st.integers(0, 2**32 - 1), step=st.integers(2, 9),
+           width=st.floats(1e-3, 10.0, exclude_min=True, exclude_max=True))
+    def test_placed_times_stay_in_their_bins(self, spread, bins, seed, width, step):
+        # every step-th uniform is the largest and the next one 0.0, so bins
+        # end at their edge and ties cascade across bins and blocks
+        counts = make_rng(seed).integers(0, 21, size=bins)
+        uniforms = make_rng(seed + 1).random(int(counts.sum()))
+        uniforms[::step] = U_MAX
+        uniforms[1::step] = 0.0
+        placed = [np.empty(0)]
+
+        def record(times):
+            placed.append(times.copy())
+            break_ties(times)
+
+        break_ties = traffic._break_ties
+        with mock.patch.object(traffic, "_break_ties", record):
+            got = counts_to_interarrivals(ArrivalTrace(counts, width), spread,
+                                          rng=FixedUniforms(uniforms)).times
+        assert np.array_equal(got, out_of_place(counts, width, spread, uniforms))
+        b = np.repeat(np.arange(bins, dtype=float), counts)
+        pre = placed[-1]
+        assert np.all((b * width <= pre) & (pre <= (b + 1) * width))
+        within_bins = pre[np.lexsort((pre, b))]
+        assert np.all(within_bins[1:] >= within_bins[:-1])
 
     @pytest.mark.parametrize("spread", ["uniform", "even"])
     def test_order_is_checked_once(self, spread, monkeypatch):
