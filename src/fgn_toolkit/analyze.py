@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _chunk_count, _column_ranges, _run_chunks
+from .spectrum import _chunk_count, _column_ranges, _integer, _run_chunks
 from .synth import Trace
 
 __all__ = [
@@ -81,7 +81,7 @@ class NormalityReport:
 def default_m_levels(n: int) -> np.ndarray:
     """Log-spaced aggregation levels, 12 per decade from 1 up to n/10."""
     levels = np.unique(np.round(10.0 ** (np.arange(0, 37) / 12.0)).astype(int))
-    return levels[levels <= n // 10]
+    return levels[levels <= _integer(n, 0, f"n must be a nonnegative integer, got {n!r}") // 10]
 
 
 def aggregate(t: Trace, m: int) -> Trace:
@@ -90,11 +90,8 @@ def aggregate(t: Trace, m: int) -> Trace:
     The output has floor(n/m) elements; a trailing partial block is
     dropped.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("aggregation level must be at least 1")
-    if m > t.n:
-        raise ValueError(f"aggregation level {m} exceeds trace length {t.n}")
+    m = _integer(m, 1, f"aggregation level must be an integer from 1 to the trace length {t.n}, "
+                       f"got {m!r}", t.n + 1)
     if m == 1:
         return Trace(t.values.copy(), t.provenance)
     return Trace(_block_means(t.values, m, np.empty(t.n // m)), t.provenance)
@@ -149,16 +146,18 @@ def _level_variances(x: np.ndarray, levels: np.ndarray, count: int) -> np.ndarra
 def variance_time_curve(t: Trace, m_levels=None) -> VarianceTimeCurve:
     """Variance of the aggregated path versus aggregation level, log-log fit.
 
-    Levels must start at 1 (so the first normalized variance is exactly 1),
-    increase strictly, and leave at least 10 aggregated points each, i.e.
-    m <= n/10.  The slope fit weights all levels equally even though the
-    power law is asymptotic, so small levels can bias it slightly.
+    Levels are integers (``_integer``'s rule) that start at 1 (so the first
+    normalized variance is exactly 1), increase strictly and leave at least
+    10 aggregated points each, i.e. m <= n/10.  The slope fit weights all
+    levels equally, though the power law is asymptotic: small levels can bias it.
     """
     if m_levels is None and t.n < 20:  # the default levels would be [1]
         raise ValueError(f"variance-time needs at least 20 samples, got {t.n}")
-    levels = default_m_levels(t.n) if m_levels is None else np.asarray(m_levels, dtype=int)
+    bad = "aggregation levels must be strictly increasing integers that start at 1"
+    levels = default_m_levels(t.n) if m_levels is None else np.array(
+        [_integer(m, 1, bad) for m in np.array(m_levels, dtype=object, ndmin=1).tolist()])
     if levels.size < 2 or levels[0] != 1 or np.any(np.diff(levels) <= 0):
-        raise ValueError("aggregation levels must be strictly increasing and start at 1")
+        raise ValueError(bad)
     if np.any(levels > t.n // 10):
         raise ValueError("every aggregation level must leave at least 10 points (m <= n/10)")
     base_var = t._spread()
@@ -231,8 +230,7 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
 
 def ad_normality_test(t: Trace) -> NormalityReport:
     """A^2 test of marginal normality at the 5% level, n >= 20."""
-    if t.n < 20:
-        raise ValueError("normality test needs at least 20 samples")
+    _integer(t.n, 20, "normality test needs at least 20 samples")
     t._spread()
     a2 = ad_statistic(t.values)
     return NormalityReport(a2_statistic=a2, pass_at_5pct=a2 < AD_CRITICAL_5PCT, n=t.n)
@@ -247,8 +245,7 @@ def qq_points(t: Trace) -> np.ndarray:
     """
     from scipy.special import ndtri  # here, so that importing the package skips scipy
 
-    if t.n < 2:
-        raise ValueError("Q-Q plot needs at least 2 samples")
+    _integer(t.n, 2, "Q-Q plot needs at least 2 samples")
     t._spread()
     n = t.n
     out = np.empty((n, 2))
@@ -287,9 +284,8 @@ def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
     the last bits depend on its thread count (as a dot product's do); a
     run repeated in the same environment gives the same bits.
     """
-    max_lag = int(max_lag)
-    if max_lag < 0 or max_lag >= t.n / 4:
-        raise ValueError(f"max_lag must satisfy 0 <= max_lag < n/4, got {max_lag}")
+    max_lag = _integer(max_lag, 0, f"max_lag must be an integer with 0 <= max_lag < n/4, "
+                                   f"got {max_lag!r}", t.n / 4)
     t._spread()
     p = min(max_lag + 1, _ACF_BLOCK)
     m = -(-t.n // p)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analyze, traffic
 from .estimate import _H_HI, _H_LO, whittle_estimate
-from .spectrum import NEAR_EXACT, BMode, HurstParam, _spectrum_from_b, spectrum_b
+from .spectrum import NEAR_EXACT, BMode, HurstParam, _integer, _spectrum_from_b, spectrum_b
 from .synth import Trace, make_rng, rescale_trace, synthesize_fgn
 from .traceio import FORMATS, _write_lines, read_trace, write_trace
 
@@ -150,8 +150,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     loaded = _load_trace(args.infile, args.format)
-    if loaded.n < 4:  # the periodogram's rule, on the length as read
-        raise ValueError(f"estimate needs at least 4 samples, got {loaded.n}")
+    _integer(loaded.n, 4, f"estimate needs at least 4 samples, got {loaded.n}")  # as read
     # the periodogram takes an even length: an odd trace loses its last value
     trace = Trace(loaded.values[:-1], loaded.provenance) if loaded.n % 2 else loaded
     result = whittle_estimate(trace, args.mode, tol=args.tol)
@@ -256,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Synthesize, estimate, analyze and convert self-similar traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    hurst, mode = _flag_type(HurstParam), _flag_type(BMode.parse)
+    hurst, mode = _flag_type(lambda text: HurstParam(float(text))), _flag_type(BMode.parse)
 
     p = sub.add_parser("synth", help="synthesize an approximate FGN trace")
     p.add_argument("--n", type=int, required=True, help="trace length (even, >= 4)")

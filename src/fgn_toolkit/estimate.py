@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import BMode, HurstParam, SpectrumGrid, _fourier_frequencies, _Shape
+from .spectrum import BMode, HurstParam, SpectrumGrid, _fourier_frequencies, _integer, _real, _Shape
 from .synth import Trace
 
 __all__ = [
@@ -111,9 +111,7 @@ def periodogram(t: Trace) -> SpectrumGrid:
     constant would do for estimation (the Whittle argmin is scale-free);
     this one satisfies (2 sum_j I_j - I_{n/2}) / n = biased sample variance.
     """
-    n = t.n
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"periodogram needs an even trace of length >= 4, got {n}")
+    n = _integer(t.n, 4, f"periodogram needs an even trace of length >= 4, got {t.n}", even=True)
     coeffs = np.fft.rfft(t.values)[1:]
     ords = np.square(coeffs.real)
     ords += np.square(coeffs.imag, out=coeffs.real)  # the real parts are spent
@@ -270,8 +268,8 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     model spectrum at their points is kept across estimates in an
     ``_opening_table`` (see the module docstring).
     """
-    if not 1e-6 <= tol < _H_HI - _H_LO:  # also rejects nan, which would never end the search
-        raise ValueError(f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol}")
+    tol = _real(tol, lambda v: 1e-6 <= v < _H_HI - _H_LO,  # NaN would never end the search
+                f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol!r}")
     t._spread()
     ws = _Workspace(periodogram(t), mode)
     if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
@@ -295,8 +293,7 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
 
 def whittle_sigma(h: HurstParam, n: int, mode: BMode) -> float:
     """Asymptotic standard deviation of the Whittle estimate at sample size n."""
-    if n < 4:
-        raise ValueError("n must be at least 4")
+    n = _integer(n, 4, f"n must be an integer from 4 to 2**63 - 1, got {n!r}", 2**63)
     omega = np.pi * np.arange(1, _SIGMA_GRID_POINTS + 1, dtype=float) / _SIGMA_GRID_POINTS
     shape = _Shape(omega, mode)
 

@@ -164,6 +164,36 @@ def _run_chunks(fn, ranges) -> None:
         raise errors[0]
 
 
+def _elementwise(x, ok, message, values=None):
+    """``values`` of x (x itself by default) as a float array; a float for scalar x.
+
+    The one check of every real-valued argument, scalar or array: x must hold
+    integer or float numbers (no bool, string or object, such as an int past
+    2**64) and ``ok`` must hold for each (NaN fails it), else ``ValueError(message)``."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or not np.all(ok(arr := arr.astype(float, copy=False))):
+        raise ValueError(message)
+    out = arr if values is None else values(arr)
+    return out.item() if arr.ndim == 0 else out
+
+
+def _real(x, ok, message: str) -> float:
+    """x as a float if it is one number (``_elementwise``'s rule) whose float passes ``ok``."""
+    return _elementwise(x, lambda v: v.ndim == 0 and ok(v.item()), message)
+
+
+def _integer(x, lo: int, message: str, hi=math.inf, even: bool = False) -> int:
+    """x as an int if it is an integer in [lo, hi), and even if ``even``, else
+    ``ValueError(message)``: the one rule for every size, level, lag, term count
+    and seed.  Python and numpy integers and integral floats (8.0) count; a bool,
+    a string, NaN, inf or a fraction does not."""
+    if isinstance(x, (float, np.floating)) and x.is_integer() or isinstance(x, np.integer):
+        x = int(x)
+    if type(x) is not int or not lo <= x < hi or even and x % 2:  # a bool's type is bool
+        raise ValueError(message)
+    return x
+
+
 @dataclass(frozen=True)
 class HurstParam:
     """Validated Hurst parameter, strictly inside (1/2, 1).
@@ -174,20 +204,17 @@ class HurstParam:
 
     h: float
 
-    def __post_init__(self) -> None:
-        h = float(self.h)
-        if not 0.5 < h < 1.0:
-            raise ValueError(f"Hurst parameter must satisfy 0.5 < h < 1, got {h}")
+    def __post_init__(self, white: bool = False) -> None:
+        message = f"Hurst parameter must satisfy 0.5 <{'=' * white} h < 1, got {self.h!r}"
+        h = _real(self.h, lambda v: 0.5 < v < 1.0 or white and v == 0.5, message)
         object.__setattr__(self, "h", h)
 
     @classmethod
     def permissive(cls, h: float) -> "HurstParam":
         """Like the constructor but also accepts h = 0.5 (white noise)."""
-        h = float(h)
-        if not 0.5 <= h < 1.0:
-            raise ValueError(f"Hurst parameter must satisfy 0.5 <= h < 1, got {h}")
         obj = object.__new__(cls)
         object.__setattr__(obj, "h", h)
+        obj.__post_init__(white=True)
         return obj
 
 
@@ -209,14 +236,14 @@ class BMode:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown B mode kind {self.kind!r}")
-        if self.terms < 1:
-            raise ValueError(f"B mode needs at least one term, got {self.terms}")
+        message = f"B mode needs at least one term, got {self.terms!r}"
+        object.__setattr__(self, "terms", _integer(self.terms, 1, message))
         if self.kind in ("prime", "doubleprime") and self.terms != 3:
             raise ValueError(f"corrected modes are defined for k = 3 only, got {self.terms}")
 
     @classmethod
     def truncated(cls, k: int = 3) -> "BMode":
-        return cls("k", int(k))
+        return cls("k", k)
 
     @classmethod
     def truncated_prime(cls) -> "BMode":
@@ -228,7 +255,7 @@ class BMode:
 
     @classmethod
     def partial(cls, n_terms: int) -> "BMode":
-        return cls("partial", int(n_terms))
+        return cls("partial", n_terms)
 
     @classmethod
     def parse(cls, text: str) -> "BMode":
@@ -238,7 +265,7 @@ class BMode:
         ``partial:200``), ``prime``, ``doubleprime``, ``k:<K>`` and
         ``partial:<N>``.
         """
-        text = text.strip().lower()
+        text = str(text).strip().lower()
         if text == "fast":
             return cls.truncated_double_prime()
         if text == "exact":
@@ -247,10 +274,9 @@ class BMode:
             return cls.truncated_prime()
         if text == "doubleprime":
             return cls.truncated_double_prime()
-        if text.startswith("k:"):
-            return cls.truncated(int(text[2:]))
-        if text.startswith("partial:"):
-            return cls.partial(int(text[8:]))
+        kind, _, terms = text.partition(":")
+        if kind in ("k", "partial") and terms.removeprefix("-").isdecimal():
+            return cls(kind, int(terms))
         raise ValueError(f"cannot parse B mode {text!r}")
 
     def __str__(self) -> str:
@@ -275,18 +301,14 @@ class SpectrumGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if lam.ndim != 1 or val.ndim != 1 or lam.size != val.size:
+        lam = _on_open_domain(self.lambdas, lambda x: x)
+        val = _elementwise(self.values, lambda x: x >= 0, "spectrum values must be nonnegative")
+        if np.ndim(lam) != 1 or np.ndim(val) != 1 or lam.size != val.size:
             raise ValueError("lambdas and values must be 1-d arrays of equal length")
         if lam.size == 0:
             raise ValueError("empty spectrum grid")
-        if np.any(lam <= 0) or np.any(lam > np.pi):
-            raise ValueError("frequencies must lie in (0, pi]")
-        if np.any(np.diff(lam) <= 0):
+        if not np.all(np.diff(lam) > 0):
             raise ValueError("frequencies must be strictly increasing")
-        if np.any(val < 0):
-            raise ValueError("spectrum values must be nonnegative")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "values", val)
 
@@ -299,30 +321,18 @@ class SpectrumGrid:
         return 2 * self.lambdas.size
 
 
-def _elementwise(x, bad, message, values):
-    """``values`` of x as a float array; a float for scalar x.
-
-    Raises ``ValueError(message)`` if ``bad`` holds anywhere in x.  The one
-    scalar-or-array wrapper of the public elementwise functions.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(bad(arr)):
-        raise ValueError(message)
-    out = values(arr)
-    return out.item() if arr.ndim == 0 else out
-
-
 def fgn_autocorrelation(h: HurstParam, k):
     """Exact FGN autocorrelation r(k) = ((k+1)^2H - 2 k^2H + |k-1|^2H) / 2.
 
-    ``k`` may be a nonnegative integer or an array of them; r(0) = 1.
-    For h = 1/2 (permissive constructor) this is 0 at every positive lag.
+    ``k`` is a lag or an array of lags, each a whole, finite number of at
+    least 0 (``_integer``'s rule, elementwise); r(0) = 1.  For h = 1/2
+    (permissive constructor) this is 0 at every positive lag.
     """
     two_h = 2.0 * h.h
     return _elementwise(
         k,
-        lambda x: x < 0,
-        "lag must be nonnegative",
+        lambda x: (0 <= x) & (x < np.inf) & (x == np.trunc(x)),
+        "lags must be nonnegative integers",
         lambda x: 0.5 * ((x + 1.0) ** two_h - 2.0 * x**two_h + np.abs(x - 1.0) ** two_h),
     )
 
@@ -330,7 +340,7 @@ def fgn_autocorrelation(h: HurstParam, k):
 def spectrum_factor_a(h: HurstParam, lam):
     """Frequency-dependent prefactor A(lam, h) = 2 sin(pi h) Gamma(2h+1) (1 - cos lam)."""
     return _elementwise(
-        lam, lambda x: np.abs(x) > np.pi, "|lambda| must not exceed pi", lambda x: _factor_a(x, h.h)
+        lam, lambda x: abs(x) <= np.pi, "|lambda| must not exceed pi", lambda x: _factor_a(x, h.h)
     )
 
 
@@ -480,7 +490,7 @@ def _on_open_domain(lam, values):
     """``values`` of lam as a 1-d array, lam checked to lie in (0, pi]; a float for scalar lam."""
     return _elementwise(
         lam,
-        lambda x: (x <= 0) | (x > np.pi),
+        lambda x: (0 < x) & (x <= np.pi),
         "lambda must lie in (0, pi]",
         lambda x: values(np.atleast_1d(x)),
     )
@@ -515,9 +525,7 @@ def build_spectrum_grid(h: HurstParam, n: int, mode: BMode) -> SpectrumGrid:
     ``n`` is the length of the time-domain path to be synthesized and must
     be even; the last frequency is pi, or for some n one ulp below it.
     """
-    n = int(n)
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be a positive even integer, got {n}")
+    n = _integer(n, 2, f"n must be a positive even integer, got {n!r}", even=True)
     lam = _fourier_frequencies(n)
     return SpectrumGrid(lam, fgn_power_spectrum(h, lam, mode))
 

@@ -35,7 +35,10 @@ from .spectrum import (
     FAST,
     BMode,
     HurstParam,
+    _elementwise,
     _fourier_frequencies,
+    _integer,
+    _real,
     fgn_autocorrelation,
     fgn_power_spectrum,
 )
@@ -69,11 +72,10 @@ class Trace:
     provenance: TraceProvenance | None = None
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).view()
-        if vals.ndim != 1 or vals.size == 0:
+        vals = _elementwise(self.values, np.isfinite, "trace values must all be finite",
+                            np.ndarray.view)
+        if np.ndim(vals) != 1 or vals.size == 0:
             raise ValueError("trace must be a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("trace values must all be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -111,7 +113,9 @@ class Trace:
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Seedable 64-bit generator (PCG64) used throughout the package."""
+    """Seedable 64-bit generator (PCG64) used throughout the package; ``seed`` >= 0 or None."""
+    if seed is not None:
+        seed = _integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
     return np.random.default_rng(seed)
 
 
@@ -123,9 +127,8 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     the 1/n inverse-transform convention; use :func:`rescale_trace` to set
     physical units.
     """
-    n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"n must be even and at least 4, got {n}")
+    n = _integer(n, 4, f"n must be an even integer of at least 4, got {n!r}", even=True)
+    seed = _integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
     rng = make_rng(seed)
     m = n // 2
     f = fgn_power_spectrum(h, _fourier_frequencies(n), mode)
@@ -133,7 +136,7 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     z = np.sqrt(f) * np.exp(1j * (2.0 * np.pi * rng.random(m)))
     z[-1] = np.abs(z[-1])  # the Nyquist bin is real
     values = np.fft.irfft(np.concatenate(([0.0], z)), n)
-    return Trace(values, TraceProvenance(h=h, seed=int(seed), mode=mode))
+    return Trace(values, TraceProvenance(h=h, seed=seed, mode=mode))
 
 
 def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
@@ -155,12 +158,10 @@ def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
     fine h grids the first failures were at h = 1 - 1.8e-5 for n = 32768,
     h = 0.996 for n = 2^18 and h = 0.955 for n = 2^20.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    n = _integer(n, 2, f"n must be an integer of at least 2, got {n!r}")
     r = fgn_autocorrelation(h, np.arange(n + 1))
     eig = np.fft.fft(np.concatenate((r, r[-2:0:-1]))).real
-    if eig.min() < 0:
+    if not eig.min() >= 0:  # NaN fails too
         raise ValueError(
             f"circulant embedding of the FGN covariance has a negative eigenvalue "
             f"for h={h.h}, n={n}"
@@ -176,8 +177,8 @@ def rescale_trace(t: Trace, target_mean: float, target_sd: float) -> Trace:
     Raises ``ValueError`` for a trace with no spread (see :class:`Trace`)
     and, with no numpy warning first, when a rescaled value overflows.
     """
-    if target_sd <= 0:
-        raise ValueError("target standard deviation must be positive")
+    target_mean = _real(target_mean, math.isfinite, "target mean must be finite")
+    target_sd = _real(target_sd, lambda v: 0 < v < np.inf, "target sd must be finite and positive")
     sd = math.sqrt(t._spread("cannot rescale a constant trace"))
     with np.errstate(over="ignore", invalid="ignore"):  # the Trace check reports it
         values = (t.values - t.mean()) * (target_sd / sd) + target_mean

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import _elementwise, _real
 from .synth import Trace
 
 __all__ = [
@@ -57,17 +58,19 @@ class ArrivalTrace:
         counts = np.asarray(self.counts)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-d array")
-        if counts.dtype.kind in "biu":  # a uint64 count from 2**63 on wraps negative
+        if counts.dtype.kind in "iu":  # a uint64 count from 2**63 on wraps negative
             counts = counts.astype(np.int64, copy=False)
             valid = not counts.size or counts.min() >= 0
-        else:  # NaN fails every comparison
-            values = counts.astype(float)
-            valid = np.all((values >= 0) & (values < _MAX_COUNT) & (values == np.rint(values)))
+        else:  # NaN fails every comparison; a bool, a string or an object is no count
+            valid = counts.dtype.kind == "f" and np.all(
+                (counts >= 0) & (counts < _MAX_COUNT) & (counts == np.rint(counts)))
         if not valid:
             raise ValueError("counts must be nonnegative integers below 2**63")
-        if not 0 < self.bin_width < np.inf:
-            raise ValueError("bin width must be finite and positive")
+        w = _real(self.bin_width, lambda v: 0 < v < np.inf, "bin width must be finite and positive")
+        cf = _real(self.clamp_fraction, lambda v: 0 <= v <= 1, "clamp fraction must lie in [0, 1]")
         object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
+        object.__setattr__(self, "bin_width", w)
+        object.__setattr__(self, "clamp_fraction", cf)
 
     @property
     def total(self) -> int:
@@ -83,11 +86,12 @@ class InterarrivalSeq:
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1:
+        bad = "times must be finite, nonnegative and strictly increasing"
+        times = _elementwise(self.times, np.isfinite, bad)
+        if np.ndim(times) != 1:
             raise ValueError("times must be a 1-d array")
         if times.size and not (times[0] >= 0 and np.all(times[1:] > times[:-1])):
-            raise ValueError("times must be nonnegative and strictly increasing")
+            raise ValueError(bad)
         object.__setattr__(self, "times", times)
 
     @property
@@ -124,13 +128,14 @@ def to_integer_counts(t: Trace, bin_width: float) -> ArrivalTrace:
         raise ValueError(f"count {peak:.3g} does not fit in a 64-bit integer (limit 2**63)")
     clamp_fraction = float(np.mean(t.values < 0.0))
     counts = np.maximum(rounded, 0.0).astype(np.int64)
-    if clamp_fraction > _CLAMP_WARN_FRACTION:
+    arrivals = ArrivalTrace(counts=counts, bin_width=bin_width, clamp_fraction=clamp_fraction)
+    if clamp_fraction > _CLAMP_WARN_FRACTION:  # once the bin width has passed
         warnings.warn(
             f"clamped {clamp_fraction:.1%} of values to zero; a Gaussian count model "
             "with this mean and sd fits the data poorly",
             stacklevel=2,
         )
-    return ArrivalTrace(counts=counts, bin_width=float(bin_width), clamp_fraction=clamp_fraction)
+    return arrivals
 
 
 def counts_to_interarrivals(

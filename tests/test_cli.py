@@ -488,7 +488,9 @@ class TestFlagContract:
         ("--n", "abc", "argument --n: invalid int value: 'abc'"),
         ("--seed", "abc", "argument --seed: invalid int value: 'abc'"),
         ("--mode", "k:0", "B mode needs at least one term, got 0"),
-    ], ids=["sd-nan", "sd-inf", "mean-inf", "mean-nan", "n-abc", "seed-abc", "mode-k0"])
+        ("--mode", "k:2.5", "cannot parse B mode 'k:2.5'"),
+    ], ids=["sd-nan", "sd-inf", "mean-inf", "mean-nan", "n-abc", "seed-abc", "mode-k0",
+            "mode-k2.5"])
     def test_bad_synth_flag(self, tmp_path, capsys, flag, value, message):
         full = {"--n": "16", "--hurst": "0.8", "--seed": "1", flag: value,
                 "--out": str(tmp_path / "t")}

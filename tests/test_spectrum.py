@@ -63,7 +63,7 @@ class TestBMode:
     def test_str_roundtrip(self, mode):
         assert BMode.parse(str(mode)) == mode
 
-    @pytest.mark.parametrize("text", ["k:0", "partial:0", "bogus", "k:x"])
+    @pytest.mark.parametrize("text", ["k:0", "partial:0", "bogus", "k:x", "k:2.5", "partial:1e3"])
     def test_rejects_bad_specs(self, text):
         with pytest.raises(ValueError):
             BMode.parse(text)
