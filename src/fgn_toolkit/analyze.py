@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _chunk_count, _column_ranges, _integer, _run_chunks
+from .spectrum import _chunk_count, _column_ranges, _elementwise, _integer, _run_chunks
 from .synth import Trace
 
 __all__ = [
@@ -184,14 +184,18 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     ``AD_CRITICAL_5PCT``.  CDF values are clipped away from {0, 1} so the
     statistic stays finite for extreme outliers (which fail anyway).  Each
     row along the last axis is one sample: a 1-d input gives a float, a
-    2-d one an array with one statistic per row.
+    2-d one an array with one statistic per row.  A row of fewer than 2
+    numbers, a non-finite value or an sd of 0 or inf raises ``ValueError``.
     """
     from scipy.special import ndtr  # here, so that importing the package skips scipy
 
-    x = np.asarray(values, dtype=float)
+    x = _elementwise(values, lambda v: v.ndim and v.shape[-1] > 1, "A^2 needs rows of 2+ numbers")
     n = x.shape[-1]
-    mean = x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, ddof=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad row is rejected below
+        mean = x.mean(axis=-1, keepdims=True)
+        sd = x.std(axis=-1, ddof=1, keepdims=True)
+    if not np.all(np.isfinite(mean) & (0 < sd) & (sd < np.inf)):  # a NaN or inf makes the mean one
+        raise ValueError("A^2 needs finite values and a finite, nonzero sd in each row")
     # one sorted copy z and one scratch w; the elementwise passes run on
     # column ranges, the sum over each row whole
     z = np.sort(x, axis=-1)

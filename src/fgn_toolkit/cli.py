@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 bad flags or domain errors (including sizes numpy
 cannot allocate, and --mean/--sd that rescale a trace past the float range),
 3 I/O failure (including a trace file holding a non-finite value), 4
-degenerate trace (including values so large that n * max|x| reaches 2^500,
-and counts or arrival totals too large to represent), 5 estimate converged
+degenerate trace (including one whose sample variance overflows, and
+counts or arrival totals too large to represent), 5 estimate converged
 to a search boundary, 6 clamp fraction above 10% under --strict.  Data and
 summaries go to stdout, diagnostics to stderr.
 Each flag is checked by its parser ``type=``, whatever the other flags say;
@@ -41,10 +41,6 @@ _EXIT_CLAMP = 6
 # reference column, the command takes about 4 s on two CPUs and 7 s on one,
 # and far larger grids cannot be allocated.
 _MAX_GRID_STEPS = 65536
-
-# A trace read from a file must keep n * max|x| below this, so that every
-# square of a value and every sum of n products stays finite.
-_MAX_SCALE = 2.0**500
 
 
 class _UsageError(Exception):
@@ -111,17 +107,11 @@ def _report_drawn_seed(flag: int | None, seed: int) -> None:
 
 
 def _load_trace(path: str, fmt: str) -> Trace:
-    """The trace in ``path``; a value too large to square and sum is a
-    degenerate trace (``ValueError``), not an I/O failure."""
+    """The trace in ``path``; any read error is an I/O failure (``OSError``)."""
     try:
-        trace = read_trace(path, fmt)
+        return read_trace(path, fmt)
     except (OSError, ValueError) as exc:
         raise OSError(f"cannot read trace {path}: {exc}") from None
-    peak = float(np.max(np.abs(trace.values)))
-    if trace.n * peak >= _MAX_SCALE:
-        raise ValueError(f"largest magnitude {peak:.6g} times the length {trace.n} "
-                         "reaches 2^500, past which squares and sums overflow")
-    return trace
 
 
 def _apply_rescale_flags(trace: Trace, args: argparse.Namespace) -> Trace:

@@ -144,7 +144,7 @@ class _Workspace:
         omc = _Shape.one_minus_cos(p.lambdas)
         self.scale = 2.0 * np.pi / p.n
         self.ords_over_omc = p.values / omc
-        self.mean_log_omc = float(np.mean(np.log(omc)))
+        self.mean_log_omc = float(np.mean(np.log(omc, out=omc)))
         self.shape = _Shape(p.lambdas, mode)
         self.q = np.empty_like(p.lambdas)
         self.table: dict | None = None
@@ -262,16 +262,19 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     objective rising again beyond h_hat on that side; that is the expected
     outcome for white-noise-like input, whose true h sits at the 0.5
     boundary.  A trace with no spread (``Trace``'s one rule) raises
-    ``ValueError``.  The objective's lam-only factors and work buffers are
-    built once per estimate (see ``_Workspace``) and freed with it; for
-    n <= 2^15 the search opens with five golden-section steps, and the
-    model spectrum at their points is kept across estimates in an
-    ``_opening_table`` (see the module docstring).
+    ``ValueError``.  The search runs on x / 2^e, e the binary exponent of
+    max|x|: exact, so x * 2^k gives the same result, and no square overflows.
+    ``objective`` is its minimum times 2^(2e), inf past the float range.  The
+    objective's lam-only factors and work buffers are built once per estimate
+    (see ``_Workspace``) and freed with it; for n <= 2^15 the search opens
+    with five golden-section steps, and the model spectrum at their points is
+    kept across estimates in an ``_opening_table`` (see the module docstring).
     """
     tol = _real(tol, lambda v: 1e-6 <= v < _H_HI - _H_LO,  # NaN would never end the search
                 f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol!r}")
     t._spread()
-    ws = _Workspace(periodogram(t), mode)
+    e = math.frexp(float(np.max(np.abs(t.values))))[1]  # x / 2^e peaks in [1/2, 1)
+    ws = _Workspace(periodogram(Trace(np.ldexp(t.values, -e))), mode)
     if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
         ws.table = _opening_table(t.n, mode)
     golden = 0 if ws.table is None else _OPENING_EVALUATIONS
@@ -280,6 +283,8 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     )
     evaluations = ws.evaluations
     del ws  # its grid arrays go before sigma_h builds work rows of its own
+    with np.errstate(over="ignore"):  # inf past the float range
+        objective = float(np.ldexp(objective, 2 * e))
     return WhittleResult(
         h_hat=h_hat,
         sigma_h=whittle_sigma(HurstParam(h_hat), t.n, mode),

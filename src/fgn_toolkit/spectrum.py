@@ -302,7 +302,8 @@ class SpectrumGrid:
 
     def __post_init__(self) -> None:
         lam = _on_open_domain(self.lambdas, lambda x: x)
-        val = _elementwise(self.values, lambda x: x >= 0, "spectrum values must be nonnegative")
+        val = _elementwise(self.values, lambda x: (0 <= x) & (x < np.inf),
+                           "spectrum values must be finite and nonnegative")
         if np.ndim(lam) != 1 or np.ndim(val) != 1 or lam.size != val.size:
             raise ValueError("lambdas and values must be 1-d arrays of equal length")
         if lam.size == 0:
@@ -413,9 +414,9 @@ class _Shape:
 
     @staticmethod
     def one_minus_cos(lam: np.ndarray) -> np.ndarray:
-        """1 - cos lam as 2 sin^2(lam / 2), which does not cancel at small lam."""
-        s = np.sin(0.5 * lam)
-        return 2.0 * s * s
+        """1 - cos lam as 2 sin^2(lam / 2), which does not cancel at small lam, in one new array."""
+        s = np.multiply(lam, 0.5, out=np.empty_like(lam))  # an array for 0-d lam too
+        return np.multiply(np.square(np.sin(s, out=s), out=s), 2.0, out=s)
 
     def q(self, h: float, out: np.ndarray) -> np.ndarray:
         """lam^(-2h-1) + B(lam, h) into ``out``."""

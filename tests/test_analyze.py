@@ -282,6 +282,22 @@ class TestNormalityTest:
     def test_statistic_nonnegative_for_gaussian(self, rng):
         assert ad_statistic(rng.standard_normal(1000)) >= 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [
+        [str(i) for i in range(1, 21)],
+        [float(i) for i in range(19)] + [float("nan")],
+        [float(i) for i in range(19)] + [float("-inf")],
+        [1e200, -1e200] * 10,
+        [2.5] * 20,
+        np.array([[0.0, 1.0, 2.0], [3.0, 3.0, 3.0]]),
+        np.array([True, False] * 10),
+        [0.5],
+    ], ids=["strings", "nan", "inf", "sd-overflows", "constant", "constant-row", "bools", "one"])
+    def test_statistic_rejects_bad_input(self, values):
+        # strings were parsed (A^2 = 0.2303) and a NaN gave nan, unwarned
+        with pytest.raises(ValueError):
+            ad_statistic(values)
+
 
 class TestQQPoints:
     def test_three_point_example(self):

@@ -124,6 +124,20 @@ class TestEstimate:
         assert "h_hat=0.69" in captured.out
         assert captured.err == ""
 
+    def test_huge_sd_trace_estimates_like_unit_sd(self, tmp_path, capsys):
+        # a --sd 1e150 trace exited 4 through a second magnitude rule
+        lines = []
+        for sd in ("1", "1e150"):
+            path = tmp_path / f"sd{sd}.txt"
+            assert run("synth", "--n", "4096", "--hurst", "0.8", "--seed", "1", "--sd", sd,
+                       "--out", str(path)) == 0
+            capsys.readouterr()
+            assert run("estimate", "--in", str(path)) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines.append(captured.out)
+        assert lines[1] == lines[0]
+
     def test_constant_trace_exits_4(self, tmp_path):
         path = tmp_path / "c.txt"
         write_values(path, np.full(64, 3.0))

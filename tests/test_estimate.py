@@ -385,6 +385,17 @@ class TestWhittleEstimate:
         with pytest.raises(ValueError, match="variance overflows"):
             whittle_estimate(Trace(rng.standard_normal(64) * 1e200), K3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_values_estimate_like_unit_ones(self):
+        # x 1e153 overflowed the periodogram: one warning and h_hat = 0.9987;
+        # the estimate now scales by a power of two, so only the rounding of
+        # x * 1e153 is left
+        x = np.random.default_rng(0).standard_normal(64)
+        unit = whittle_estimate(Trace(x), EXACT)
+        huge = whittle_estimate(Trace(x * 1e153), EXACT)
+        assert not unit.at_boundary
+        assert abs(huge.h_hat - unit.h_hat) <= 1e-14
+
     def test_rejects_tiny_tolerance(self, rng):
         with pytest.raises(ValueError):
             whittle_estimate(Trace(rng.standard_normal(64)), K3, tol=1e-9)

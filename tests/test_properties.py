@@ -1,9 +1,11 @@
 """Property tests over B modes and h, drawn by hypothesis."""
 
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +15,7 @@ from fgn_toolkit import (
     Trace,
     periodogram,
     spectrum_b,
+    synthesize_fgn,
     whittle_estimate,
     whittle_objective,
 )
@@ -112,3 +115,21 @@ def test_search_opening_stays_in_the_golden_tree(values, mode):
                            lambda ws, h: calls.append(h) or objective(ws, h)):
         whittle_estimate(Trace(values), mode)
     assert len(set(calls[:steps])) == steps and set(calls[:steps]) <= tree
+
+
+@seed(23)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(8, 2048).map(lambda m: 2 * m), h=st.floats(0.55, 0.95),
+       mode=st.sampled_from(["k:3", "fast", "exact"]), k=st.integers(-500, 505))
+@example(n=4096, h=0.95, mode="fast", k=505)  # warned: overflow in I / (1 - cos lam)
+@example(n=4096, h=0.55, mode="k:3", k=-500)  # subnormal ordinates moved h_hat
+def test_power_of_two_scaling_keeps_the_estimate(n, h, mode, k):
+    # the estimate scales every trace to a peak in [1/2, 1) first
+    x = synthesize_fgn(HurstParam(h), n, 7).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = whittle_estimate(Trace(x), BMode.parse(mode))
+        scaled = whittle_estimate(Trace(np.ldexp(x, k)), BMode.parse(mode))
+    assert (scaled.h_hat, scaled.sigma_h, scaled.evaluations, scaled.at_boundary) == (
+        base.h_hat, base.sigma_h, base.evaluations, base.at_boundary)
+    assert scaled.objective == math.ldexp(base.objective, 2 * k)
