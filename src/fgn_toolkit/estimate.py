@@ -25,7 +25,7 @@ parabola through the three best points so far proposes each step, and a
 golden-section step replaces it when the parabola is not trusted.  The
 search stops once the bracket is narrower than ``tol`` (default 0.001) and
 returns the best point it evaluated.  At the default tol, over the
-acceptance battery (n = 32768), that takes 8-10 objective evaluations for
+acceptance battery (n = 32768), that takes 9-10 objective evaluations for
 h >= 0.55 (7-10 where the search has no table, below), 11-14 for a minimum
 just inside 0.501 and 15 for one at it.  The attached standard deviation
 sigma_h comes from the asymptotic variance
@@ -45,21 +45,24 @@ are golden-section steps on [0.501, 0.999] that never read the data: h at
 two point to.  A golden-section step from a bracket set only by such
 comparisons is itself data-free, so where a table (below) can serve them
 the search takes golden-section steps for its first
-``_OPENING_EVALUATIONS`` = 5 evaluations and tries the parabola only after:
-those fall on a fixed tree of 1 + 1 + 2 + 4 + 8 nodes, 14 distinct h.  The
-model side of an evaluation, q and the mean of log q, depends only on (n,
-mode, h), so ``whittle_estimate`` keeps it at those points across
-estimates, in a table per (n, mode) that the estimates fill themselves.
-``_opening_table`` holds the two most recently used tables
-(``functools.lru_cache``), and only for n <= 2^15, of at most 16 entries
-each (a tol of ~0.12 or more can cut a step to tol / 4, off the tree), so
-they take at most 4 MiB.  Over the acceptance battery about half of all
-evaluations fall there, and an exact estimate computes ~4.6 spectra.  A
-hit skips the B sums, the power and the log; the ratio sum still runs over
-the estimate's own periodogram, so a result does not depend on what the
-table holds.  Longer traces get no table and run Brent's method as
-published, the parabola tried from the third evaluation.  Later
-evaluations are not stored: their h depend on the data and rarely repeat.
+``_OPENING_EVALUATIONS`` = 6 evaluations and tries the parabola only after:
+those fall on a fixed tree of 1 + 1 + 2 + 4 + 8 + 16 nodes, 26 distinct h.
+(A seventh step would be data-free too, but it only delays the parabola:
+at n = 32768 it computed no fewer spectra and took about one more
+evaluation.)  The model side of an evaluation, q and the mean of log q,
+depends only on (n, mode, h), so ``whittle_estimate`` keeps it at those
+points across estimates, in a table per (n, mode) that the estimates fill
+themselves.  ``_opening_table`` holds the two most recently used tables
+(``functools.lru_cache``), and only for n <= 2^15, of at most 32 entries
+each (a tol of ~0.07 or more can cut a step to tol / 4, off the tree), so
+they take at most 8 MiB.  Over the acceptance battery about three fifths of
+all evaluations are served there, and an exact estimate computes ~3.8
+spectra.  A hit skips the B sums, the power and the log; the ratio sum
+still runs over the estimate's own periodogram, so a result does not
+depend on what the table holds.  Longer traces get no table and run
+Brent's method as published, the parabola tried from the third
+evaluation.  Later evaluations are not stored: their h depend on the data
+and rarely repeat.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ _SIGMA_GRID_POINTS = 2048
 _SIGMA_FD_STEP = 1e-4
 # Brent's first evaluations that never read the data when they are all
 # golden-section steps, and the longest trace whose q there is kept: 2
-# tables of at most 16 arrays of n/2 floats make 4 MiB
-_OPENING_EVALUATIONS = 5
+# tables of at most 32 arrays of n/2 floats make 8 MiB
+_OPENING_EVALUATIONS = 6
 _OPENING_MAX_N = 1 << 15
 
 
@@ -111,8 +114,14 @@ def periodogram(t: Trace) -> SpectrumGrid:
     constant would do for estimation (the Whittle argmin is scale-free);
     this one satisfies (2 sum_j I_j - I_{n/2}) / n = biased sample variance.
     """
-    n = _integer(t.n, 4, f"periodogram needs an even trace of length >= 4, got {t.n}", even=True)
-    coeffs = np.fft.rfft(t.values)[1:]
+    return _periodogram(t.values)
+
+
+def _periodogram(x: np.ndarray) -> SpectrumGrid:
+    """``periodogram`` of the values of a trace, which are finite."""
+    n = _integer(x.size, 4, f"periodogram needs an even trace of length >= 4, got {x.size}",
+                 even=True)
+    coeffs = np.fft.rfft(x)[1:]
     ords = np.square(coeffs.real)
     ords += np.square(coeffs.imag, out=coeffs.real)  # the real parts are spent
     ords /= n
@@ -267,14 +276,15 @@ def whittle_estimate(t: Trace, mode: BMode, tol: float = 0.001) -> WhittleResult
     ``objective`` is its minimum times 2^(2e), inf past the float range.  The
     objective's lam-only factors and work buffers are built once per estimate
     (see ``_Workspace``) and freed with it; for n <= 2^15 the search opens
-    with five golden-section steps, and the model spectrum at their points is
+    with six golden-section steps, and the model spectrum at their points is
     kept across estimates in an ``_opening_table`` (see the module docstring).
     """
     tol = _real(tol, lambda v: 1e-6 <= v < _H_HI - _H_LO,  # NaN would never end the search
                 f"tolerance must lie in [1e-6, {_H_HI - _H_LO:g}), got {tol!r}")
     t._spread()
-    e = math.frexp(float(np.max(np.abs(t.values))))[1]  # x / 2^e peaks in [1/2, 1)
-    ws = _Workspace(periodogram(Trace(np.ldexp(t.values, -e))), mode)
+    x = t.values
+    e = math.frexp(float(max(x.max(), -x.min())))[1]  # x / 2^e peaks in [1/2, 1)
+    ws = _Workspace(_periodogram(np.ldexp(x, -e)), mode)  # scaled before the FFT sums
     if t.n <= _OPENING_MAX_N:  # after the periodogram has accepted the length
         ws.table = _opening_table(t.n, mode)
     golden = 0 if ws.table is None else _OPENING_EVALUATIONS

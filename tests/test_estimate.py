@@ -218,7 +218,7 @@ class TestOpeningMemo:
                 and len(self.TABLE(t.n, mode)) == estimate._OPENING_EVALUATIONS)
 
     def test_memo_stays_within_its_budget(self, synth_cache):
-        # two tables of at most 16 arrays of n/2 floats, n <= 2^15: 4 MiB
+        # two tables of at most 32 arrays of n/2 floats, n <= 2^15: 8 MiB
         self.TABLE.cache_clear()
         for n in (2**12, 2**15, 2**16, 2**17, 2**15):
             before = self.TABLE.cache_info()
@@ -298,8 +298,8 @@ class TestOpeningMemo:
         assert calls != brent(estimate._OPENING_EVALUATIONS)
 
     def test_coarse_tolerances_keep_the_table_bounded(self, synth_cache):
-        # from tol ~0.12 on, a golden step can be cut to tol / 4 and the
-        # opening leaves the 14-point tree; the table stops growing at 16
+        # from tol ~0.07 on, a golden step can be cut to tol / 4 and the
+        # opening leaves the 26-point tree; the table stops growing at 32
         self.TABLE.cache_clear()
         for h in (0.51, 0.6, 0.7, 0.8, 0.9, 0.99):
             t = synth_cache(h, 1024, 3)

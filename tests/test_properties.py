@@ -5,6 +5,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,7 +20,8 @@ from fgn_toolkit import (
     whittle_estimate,
     whittle_objective,
 )
-from fgn_toolkit import estimate
+from fgn_toolkit import estimate, spectrum
+from fgn_toolkit.spectrum import FAST
 
 MODES = st.one_of(
     st.integers(1, 6).map(BMode.truncated),
@@ -115,6 +117,23 @@ def test_search_opening_stays_in_the_golden_tree(values, mode):
                            lambda ws, h: calls.append(h) or objective(ws, h)):
         whittle_estimate(Trace(values), mode)
     assert len(set(calls[:steps])) == steps and set(calls[:steps]) <= tree
+
+
+@pytest.mark.parametrize("mode", [BMode.partial(200), FAST], ids=str)
+def test_second_estimate_computes_only_the_spectra_past_its_opening(mode):
+    # the first estimate fills the table at the opening's points, so the
+    # second one of the same trace computes q only after them, plus the two
+    # spectra of sigma_h
+    assert len(golden_tree(estimate._OPENING_EVALUATIONS)) == 26
+    t = synthesize_fgn(HurstParam(0.8), 32768, 3)
+    estimate._opening_table.cache_clear()
+    whittle_estimate(t, mode)
+    spectra = []
+    q = spectrum._Shape.q
+    with mock.patch.object(spectrum._Shape, "q",
+                           lambda shape, h, out: spectra.append(h) or q(shape, h, out)):
+        res = whittle_estimate(t, mode)
+    assert len(spectra) - 2 == res.evaluations - estimate._OPENING_EVALUATIONS
 
 
 @seed(23)
