@@ -166,7 +166,7 @@ def _opening_table(n: int, mode: BMode) -> dict[float, tuple[np.ndarray, float]]
 
     Empty until estimates fill it.  A dict's get and set are atomic, so the
     threads of a process share a table without a lock; threads racing past
-    the 16-entry check may each add one more.
+    the 32-entry check may each add one more.
     """
     return {}
 

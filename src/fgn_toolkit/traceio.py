@@ -27,8 +27,6 @@ __all__ = [
     "read_trace",
 ]
 
-FORMATS = ("text", "rawf64")
-
 _HEADER = "# fgn-toolkit v1"
 
 _CHUNK_LINES = 65536  # lines formatted and written at a time
@@ -76,8 +74,7 @@ def _read_text(path: str) -> Trace:
 
 
 def _write_raw(path: str, t: Trace) -> None:
-    with open(path, "wb") as fh:
-        fh.write(t.values.astype("<f8").tobytes())
+    t.values.astype("<f8", copy=False).tofile(path)
 
 
 def _read_raw(path: str) -> Trace:
@@ -85,21 +82,24 @@ def _read_raw(path: str) -> Trace:
         payload = fh.read()
     if len(payload) == 0 or len(payload) % 8 != 0:
         raise ValueError(f"raw trace {path} must be a nonempty multiple of 8 bytes")
-    return Trace(np.frombuffer(payload, dtype="<f8").copy())
+    return Trace(np.frombuffer(payload, "<f8"))  # read-only, as a trace's values are
+
+
+# each format's writer and reader
+_CODECS = {"text": (_write_text, _read_text), "rawf64": (_write_raw, _read_raw)}
+FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str) -> tuple:
+    try:
+        return _CODECS[fmt]
+    except (KeyError, TypeError):  # TypeError: an unhashable fmt
+        raise ValueError(f"unknown trace format {fmt!r}") from None
 
 
 def write_trace(path: str, t: Trace, fmt: str = "text") -> None:
-    if fmt == "text":
-        _write_text(path, t)
-    elif fmt == "rawf64":
-        _write_raw(path, t)
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+    _codec(fmt)[0](path, t)
 
 
 def read_trace(path: str, fmt: str = "text") -> Trace:
-    if fmt == "text":
-        return _read_text(path)
-    if fmt == "rawf64":
-        return _read_raw(path)
-    raise ValueError(f"unknown trace format {fmt!r}")
+    return _codec(fmt)[1](path)

@@ -102,8 +102,8 @@ class InterarrivalSeq:
 def exp2_transform(t: Trace) -> Trace:
     """Elementwise y = 2**x; strictly positive, order preserving.
 
-    Rejects inputs with any value above 1000, where the result would
-    overflow double precision.
+    Rejects inputs with any value above 1000, a bound with a wide margin:
+    double precision overflows only from 2**1024.
     """
     peak = float(np.max(t.values))
     if peak > _EXP2_MAX_EXPONENT:
@@ -127,7 +127,7 @@ def to_integer_counts(t: Trace, bin_width: float) -> ArrivalTrace:
     if peak >= _MAX_COUNT:
         raise ValueError(f"count {peak:.3g} does not fit in a 64-bit integer (limit 2**63)")
     clamp_fraction = float(np.mean(t.values < 0.0))
-    counts = np.maximum(rounded, 0.0).astype(np.int64)
+    counts = np.maximum(rounded, 0.0, out=rounded).astype(np.int64)
     arrivals = ArrivalTrace(counts=counts, bin_width=bin_width, clamp_fraction=clamp_fraction)
     if clamp_fraction > _CLAMP_WARN_FRACTION:  # once the bin width has passed
         warnings.warn(

@@ -1,10 +1,12 @@
 """Trace file round trips and format validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fgn_toolkit import BMode, HurstParam, Trace, TraceProvenance
-from fgn_toolkit.traceio import _CHUNK_LINES, _write_lines, read_trace, write_trace
+from fgn_toolkit.traceio import FORMATS, _CHUNK_LINES, _write_lines, read_trace, write_trace
 
 
 def test_text_round_trip_is_exact(tmp_path, rng):
@@ -66,13 +68,49 @@ def test_raw_round_trip_is_exact(tmp_path, rng):
     back = read_trace(str(path), "rawf64")
     assert np.array_equal(back.values, values)
     assert path.stat().st_size == 8000
+    assert path.read_bytes() == values.astype("<f8").tobytes()  # little-endian binary64
 
 
 def test_raw_rejects_truncated_file(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x00" * 12)
-    with pytest.raises(ValueError):
-        read_trace(str(path), "rawf64")
+    for payload in (b"\x00" * 12, b""):
+        path.write_bytes(payload)
+        with pytest.raises(ValueError):
+            read_trace(str(path), "rawf64")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_strided_trace_round_trip_is_exact(tmp_path, rng, fmt):
+    # a trace's values may be a non-contiguous view of the caller's array
+    x = rng.standard_normal(2001)
+    path = tmp_path / "t"
+    write_trace(str(path), Trace(x[::2]), fmt)
+    assert np.array_equal(read_trace(str(path), fmt).values, x[::2])
+
+
+def _traced_peak(call):
+    """tracemalloc's peak over ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_raw_write_makes_no_trace_sized_copy(tmp_path, rng):
+    t = Trace(rng.standard_normal(2**16))
+    peak = _traced_peak(lambda: write_trace(str(tmp_path / "t.bin"), t, "rawf64"))
+    assert peak < 0.25 * t.values.nbytes
+
+
+def test_raw_read_makes_one_trace_sized_array(tmp_path, rng):
+    t = Trace(rng.standard_normal(2**16))
+    path = str(tmp_path / "t.bin")
+    write_trace(path, t, "rawf64")
+    peak = _traced_peak(lambda: read_trace(path, "rawf64"))
+    assert peak < 1.25 * t.values.nbytes
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -128,6 +128,20 @@ class TestToIntegerCounts:
         out = to_integer_counts(Trace(np.array([1.0])), 0.25)
         assert out.bin_width == 0.25
 
+    def test_peak_memory_is_the_rounded_values_and_the_counts(self, rng):
+        # the clamp works in the rounded array, so the peak is that array
+        # and the int64 output; a few values clamp
+        t = Trace(rng.standard_normal(2**16) * 2.0 + 8.0)
+        to_integer_counts(t, 1.0)  # warm-up
+        tracemalloc.start()
+        try:
+            out = to_integer_counts(t, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < out.clamp_fraction < 0.10
+        assert peak < 2.5 * t.values.nbytes
+
 
 class TestArrivalTraceValidation:
     def test_rejects_negative_counts(self):
