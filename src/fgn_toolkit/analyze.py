@@ -10,8 +10,8 @@ autocorrelation sums every lag at once as a blocked Gram product of the
 trace's consecutive blocks (BLAS matrix products, O(n (max_lag + 1024))
 work, a few MB of scratch for any lag).
 
-The variance-time levels, the elementwise passes of A^2 and the Q-Q
-quantiles run on ranges (of levels, or of columns) through
+The variance-time levels, the A^2 terms and the Q-Q quantiles run on
+ranges (of levels, of pairs of mirrored columns, or of columns) through
 ``spectrum._run_chunks``, the thread runner of the spectral sums, with its
 count rule: one range per CPU the process may use for a large trace, and
 no thread for a small one or in a one-CPU process.  A range writes only
@@ -59,6 +59,12 @@ _ACF_BLOCK = 512
 # same order (from 8 values it sums a row pairwise), so the bits are the
 # same, without a reduction call per row (20 -> 2 ms at m = 2, n = 2^21).
 _COLUMN_SUM_BELOW = 8
+
+# Values per block of ad_statistic's pair pass, which bounds its scratch: two
+# arrays of this many values (512 KB) per range.  At n = 2^21 on a 2-vCPU
+# host A^2 took 128, 75, 60, 63 and 68 ms at 2048, 8192, 32768, 131072 and
+# 2^20, against 68 ms with two trace-sized arrays.
+_AD_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,11 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     row along the last axis is one sample: a 1-d input gives a float, a
     2-d one an array with one statistic per row.  A row of fewer than 2
     numbers, a non-finite value or an sd of 0 or inf raises ``ValueError``.
+
+    Term i of a sorted row z needs z_i and z_{n-1-i}, and so does its
+    mirror, term n - 1 - i: both are made from that pair in place, a block
+    of pairs at a time, so the memory is one sorted copy of the input and
+    a ``_AD_BLOCK``-value scratch block per range.
     """
     from scipy.special import ndtr  # here, so that importing the package skips scipy
 
@@ -196,38 +207,56 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
         sd = x.std(axis=-1, ddof=1, keepdims=True)
     if not np.all(np.isfinite(mean) & (0 < sd) & (sd < np.inf)):  # a NaN or inf makes the mean one
         raise ValueError("A^2 needs finite values and a finite, nonzero sd in each row")
-    # one sorted copy z and one scratch w; the elementwise passes run on
-    # column ranges, the sum over each row whole
+    # the terms go into the sorted copy z; the sum over each row is taken whole
     z = np.sort(x, axis=-1)
-    w = np.empty_like(z)
-    ranges = _column_ranges(n, _chunk_count(z.size, n))
+    rows = z.reshape(-1, n)  # a view: one path for one sample and for rows of them
+    mean = mean.reshape(-1, 1)
+    sd = sd.reshape(-1, 1)
+    pairs = n // 2
+    ranges = _column_ranges(pairs, _chunk_count(z.size, pairs))
+    width = min(max(1, _AD_BLOCK // rows.shape[0]), pairs)
+    scratch = np.empty((len(ranges), 2, rows.shape[0], width))
 
-    def cdf(c0: int, c1: int) -> None:
-        zc = z[..., c0:c1]
-        zc -= mean
-        zc /= sd
-        ndtr(zc, out=zc)
-        np.clip(zc, 1e-300, 1.0 - 1e-16, out=zc)
+    def cdf(v: np.ndarray) -> None:
+        v -= mean
+        v /= sd
+        ndtr(v, out=v)
+        np.clip(v, 1e-300, 1.0 - 1e-16, out=v)
 
-    def upper_tail(c0: int, c1: int) -> None:  # log1p(-z), row reversed
-        wc = w[..., c0:c1]
-        np.log1p(np.negative(z[..., ::-1][..., c0:c1], out=wc), out=wc)
+    def weights(w: np.ndarray, first: int) -> np.ndarray:
+        # (2i + 1) / n for i = first, first + 1, ... as an exact running sum
+        w.fill(2.0)
+        w[0] = 2.0 * first + 1.0
+        np.cumsum(w, out=w)
+        w /= n
+        return w
 
-    def terms(c0: int, c1: int) -> None:
-        zc = z[..., c0:c1]
-        np.log(zc, out=zc)
-        zc += w[..., c0:c1]
-        # the weights (2i - 1) / n in the first row of w: 2i - 1 = 1, 3, 5,
-        # ... as an exact running sum
-        weights = w[(0,) * (x.ndim - 1)][c0:c1]
-        weights.fill(2.0)
-        weights[0] = 2.0 * c0 + 1.0
-        np.cumsum(weights, out=weights)
-        weights /= n
-        zc *= weights
+    def terms(r: int, _: int) -> None:
+        # columns [b0, b1) and their mirrors [n - b1, n - b0), in order, and
+        # each log1p(-z) read back to front: every log and log1p runs on
+        # contiguous values (numpy's vector loops can round strided ones
+        # differently)
+        c0, c1 = ranges[r]
+        for b0 in range(c0, c1, width):
+            b1 = min(b0 + width, c1)
+            lo, hi = rows[:, b0:b1], rows[:, n - b1 : n - b0]
+            s, t = scratch[r, :, :, : b1 - b0]
+            cdf(lo)
+            cdf(hi)
+            np.log1p(np.negative(lo, out=s), out=s)
+            np.log1p(np.negative(hi, out=t), out=t)
+            np.log(lo, out=lo)
+            lo += t[:, ::-1]
+            np.log(hi, out=hi)
+            hi += s[:, ::-1]
+            lo *= weights(s[0], b0)
+            hi *= weights(t[0], n - b1)
 
-    for fn in (cdf, upper_tail, terms):
-        _run_chunks(fn, ranges)
+    _run_chunks(terms, [(r, r + 1) for r in range(len(ranges))])
+    if n % 2:  # the middle value is its own mirror, and its weight (2i + 1) / n is 1
+        mid = rows[:, pairs : pairs + 1].copy()  # contiguous, as above
+        cdf(mid)
+        rows[:, pairs : pairs + 1] = np.log(mid) + np.log1p(-mid)
     a2 = (-n - np.sum(z, axis=-1)) * (1.0 + 0.75 / n + 2.25 / n**2)
     return float(a2) if x.ndim == 1 else a2
 
@@ -293,9 +322,9 @@ def sample_autocorrelation(t: Trace, max_lag: int) -> np.ndarray:
     t._spread()
     p = min(max_lag + 1, _ACF_BLOCK)
     m = -(-t.n // p)
-    padded = np.zeros(m * p)
-    padded[: t.n] = t.values
-    padded[: t.n] -= t.mean()
+    padded = np.empty(m * p)
+    np.subtract(t.values, t.mean(), out=padded[: t.n])
+    padded[t.n :] = 0.0
     blocks = padded.reshape(m, p)
     # [G_g | G_{g+1}] lives in the first 2P^2 values of buf; row a of the
     # (P, 2P+1) view starts at column a of that matrix, so its column s

@@ -35,10 +35,13 @@ from .spectrum import (
     FAST,
     BMode,
     HurstParam,
+    _chunk_count,
+    _column_ranges,
     _elementwise,
     _fourier_frequencies,
     _integer,
     _real,
+    _run_chunks,
     fgn_autocorrelation,
     fgn_power_spectrum,
 )
@@ -126,17 +129,54 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     DC coefficient is zeroed) and its absolute scale is a fixed artifact of
     the 1/n inverse-transform convention; use :func:`rescale_trace` to set
     physical units.
+
+    After the spectrum, the stages run in place: each uniform draw becomes
+    its Exp(1) variates or phases in its own array, and the half spectrum
+    is written once into the one complex array that the inverse FFT reads.
+    Their elementwise work runs on column ranges through
+    ``spectrum._run_chunks`` under ``spectrum._chunk_count``'s rule (one
+    range per CPU from n = 2^20, one below), with the same bits whatever
+    the split.  So beyond the spectrum the call holds at most two
+    path-sized arrays at a time.
     """
     n = _integer(n, 4, f"n must be an even integer of at least 4, got {n!r}", even=True)
     seed = _integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
-    rng = make_rng(seed)
-    m = n // 2
-    f = fgn_power_spectrum(h, _fourier_frequencies(n), mode)
-    f *= -np.log1p(-rng.random(m))  # Exp(1) variates, -log(1 - U)
-    z = np.sqrt(f) * np.exp(1j * (2.0 * np.pi * rng.random(m)))
-    z[-1] = np.abs(z[-1])  # the Nyquist bin is real
-    values = np.fft.irfft(np.concatenate(([0.0], z)), n)
+    # one expression, so that the spectrum and the half spectrum are freed once used
+    values = np.fft.irfft(
+        _half_spectrum(fgn_power_spectrum(h, _fourier_frequencies(n), mode), make_rng(seed)), n)
     return Trace(values, TraceProvenance(h=h, seed=seed, mode=mode))
+
+
+def _half_spectrum(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The m + 1 coefficients that ``synthesize_fgn`` inverts, 0 and then
+    z_j = sqrt(f_j E_j) e^(i phi_j) in the documented draw order; overwrites
+    the spectrum ``f``."""
+    m = f.size
+    half = np.empty(m + 1, dtype=complex)
+    half[0] = 0.0
+    z = half[1:]
+    u = rng.random(m)
+    ranges = _column_ranges(m, _chunk_count(m, m))
+
+    def fuzz(c0: int, c1: int) -> None:  # sqrt(f E) with E = -log(1 - U)
+        e = u[c0:c1]
+        np.log1p(np.negative(e, out=e), out=e)
+        fc = f[c0:c1]
+        fc *= np.negative(e, out=e)
+        np.sqrt(fc, out=fc)
+
+    def phase(c0: int, c1: int) -> None:  # times e^(i phi), phi = 2 pi U
+        zc = z[c0:c1]
+        zc.real = 0.0
+        np.multiply(2.0 * np.pi, u[c0:c1], out=zc.imag)
+        np.exp(zc, out=zc)
+        zc *= f[c0:c1]
+
+    _run_chunks(fuzz, ranges)
+    rng.random(out=u)
+    _run_chunks(phase, ranges)
+    z[-1] = np.abs(z[-1])  # the Nyquist bin is real
+    return half
 
 
 def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:

@@ -7,10 +7,12 @@ Real values then become integer per-bin counts, and counts become event
 times within their bins, spread uniformly (approximately exponential
 interarrivals) or evenly (constant interarrivals): bin b of width w puts
 its arrivals at (b + f) w for fractions f in [0, 1), rounded so that no
-time leaves [b w, (b + 1) w].  Event times are written into one
-preallocated array a block of bins at a time, so the conversion's peak
-memory is little more than its output; one pass over that array then
-nudges ties in both spreads.
+time leaves [b w, (b + 1) w].  The count and interarrival steps write into
+their one output array a block at a time: counts are rounded and clamped
+a block of values at a time, event times are placed a block of bins at a
+time, and the tie pass that then nudges ties in both spreads flags them a
+block of times at a time.  So the peak memory of each is its output plus
+a block's scratch.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ _MAX_ARRIVALS = 2**31
 # that trace a block's ~17K times (140 KB) stay in L2 while they are spread
 # and sorted (256 to 16384 bins measured; 1024 to 4096 were within 5%).
 _BLOCK_BINS = 2048
+# Values per block of to_integer_counts and of the tie pass, so that their
+# scratch (128 KB of rounded values, 16 KB of tie flags) is not trace-sized.
+# At 2**21 values and their 17.8M times, 2048 to 262144 measured: counts
+# 10.6 ms at 2048, 6.9 at 16384, 7.8 at 262144 (12 ms whole); the tie pass
+# 42 ms at 2048, 17 at 16384 and 14 from 65536 (17 ms whole).
+_SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,14 +128,24 @@ def to_integer_counts(t: Trace, bin_width: float) -> ArrivalTrace:
     is carried on the result; above 10% it also triggers a warning, since
     that many negatives means a Gaussian count model with this mean and sd
     fits the data poorly.  Raises ``ValueError`` when a rounded value
-    reaches 2**63, the int64 limit.
+    reaches 2**63, the int64 limit.  Values are rounded, clamped and counted
+    ``_SCAN_BLOCK`` at a time, straight into the int64 counts.
     """
-    rounded = np.rint(t.values)
-    peak = float(rounded.max())
+    values = t.values
+    peak = float(np.rint(values.max()))  # rint is monotone: the largest rounded value
     if peak >= _MAX_COUNT:
         raise ValueError(f"count {peak:.3g} does not fit in a 64-bit integer (limit 2**63)")
-    clamp_fraction = float(np.mean(t.values < 0.0))
-    counts = np.maximum(rounded, 0.0, out=rounded).astype(np.int64)
+    counts = np.empty(values.size, dtype=np.int64)
+    rounded = np.empty(min(values.size, _SCAN_BLOCK))
+    negatives = 0
+    for b0 in range(0, values.size, _SCAN_BLOCK):
+        v = values[b0 : b0 + _SCAN_BLOCK]
+        r = rounded[: v.size]
+        negatives += int(np.count_nonzero(v < 0.0))
+        np.maximum(np.rint(v, out=r), 0.0, out=r)
+        counts[b0 : b0 + v.size] = r
+    # correctly rounded, so the bits of np.mean(values < 0), whose float sum is exact
+    clamp_fraction = negatives / values.size
     arrivals = ArrivalTrace(counts=counts, bin_width=bin_width, clamp_fraction=clamp_fraction)
     if clamp_fraction > _CLAMP_WARN_FRACTION:  # once the bin width has passed
         warnings.warn(
@@ -211,9 +229,13 @@ def _break_ties(times: np.ndarray) -> None:
 
     Each tie is raised to the next float, left to right; a nudge can only
     tie the time after it, so following each cascade gives the bits of a
-    sweep over every time.
+    sweep over every time.  Ties are flagged ``_SCAN_BLOCK`` times at a
+    time, after the cascades of the blocks before, which may run on into
+    the block.
     """
-    for i in (np.flatnonzero(times[1:] <= times[:-1]) + 1).tolist():
-        while i < times.size and times[i] <= times[i - 1]:
-            times[i] = np.nextafter(times[i - 1], np.inf)
-            i += 1
+    for b0 in range(1, times.size, _SCAN_BLOCK):
+        b1 = min(b0 + _SCAN_BLOCK, times.size)
+        for i in (np.flatnonzero(times[b0:b1] <= times[b0 - 1 : b1 - 1]) + b0).tolist():
+            while i < times.size and times[i] <= times[i - 1]:
+                times[i] = np.nextafter(times[i - 1], np.inf)
+                i += 1

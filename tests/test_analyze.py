@@ -42,6 +42,18 @@ def fast_switching(run):
         sys.setswitchinterval(interval)
 
 
+def ad_formula(x):
+    """A^2 of each row of x as the whole-array expression of its definition."""
+    n = x.shape[-1]
+    y = np.sort(x, axis=-1)
+    mean = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, ddof=1, keepdims=True)
+    z = np.clip(ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
+    i = np.arange(1, n + 1)
+    s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
+    return (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
+
+
 def peak_bytes(run):
     """Peak traced allocation while ``run()`` runs."""
     tracemalloc.start()
@@ -262,15 +274,29 @@ class TestNormalityTest:
         # it was written, for each row of a 2-d input and for each row alone
         force_ranges(monkeypatch, count)
         x = rng.standard_normal((3, n)) * 2.0 + 1.0
-        y = np.sort(x, axis=-1)
-        mean = x.mean(axis=-1, keepdims=True)
-        sd = x.std(axis=-1, ddof=1, keepdims=True)
-        z = np.clip(ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
-        i = np.arange(1, n + 1)
-        s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
-        want = (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
+        want = ad_formula(x)
         assert ad_statistic(x).tolist() == want.tolist()
         assert [ad_statistic(row) for row in x] == want.tolist()
+
+    @pytest.mark.parametrize("block", [2, 64])
+    @pytest.mark.parametrize("n", [2, 3, 21, 1000, 1001])
+    def test_statistic_in_small_blocks_keeps_the_formula_bits(self, monkeypatch, n, block):
+        # many blocks of pairs per range, down to one column of three rows
+        force_ranges(monkeypatch, 2)
+        monkeypatch.setattr(analyze, "_AD_BLOCK", block)
+        x = make_rng(n).standard_normal((3, n)) * 2.0 + 1.0
+        want = ad_formula(x)
+        assert ad_statistic(x).tolist() == want.tolist()
+        assert [ad_statistic(row) for row in x] == want.tolist()
+
+    @pytest.mark.parametrize("shape", [(2**21,), (8, 2**18)])
+    def test_statistic_peak_memory_is_its_sorted_copy(self, monkeypatch, shape):
+        # the sorted copy, made in place into the terms, and a block of
+        # scratch per range
+        force_ranges(monkeypatch, 2)
+        x = make_rng(33).standard_normal(shape)
+        ad_statistic(x[..., :100])  # imports scipy.special
+        assert peak_bytes(lambda: ad_statistic(x)) < 1.125 * x.nbytes
 
     def test_many_threads_with_fast_switching_keep_bits(self, monkeypatch, synth_cache):
         x = synth_cache(0.8, 32768, 11).values

@@ -1,5 +1,6 @@
 """Synthesis: full paths against their documented draw order, phases, rescaling."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -24,6 +25,7 @@ from fgn_toolkit import (
     variance_time_curve,
     whittle_estimate,
 )
+from fgn_toolkit import synth
 
 K3 = BMode.truncated(3)
 EXACT = BMode.partial(200)
@@ -94,6 +96,33 @@ class TestSynthesizeFgn:
         assert np.array_equal(t.values, np.fft.irfft(expected, n))
         # zero DC term, each phase in its own bin, Nyquist bin real
         assert np.allclose(np.fft.rfft(t.values), expected, rtol=0, atol=1e-12 * np.abs(half).max())
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("n", [2 * 4099, 8192])  # m = n/2 odd and even
+    def test_column_ranges_keep_the_documented_bits(self, monkeypatch, n, count):
+        # the stages after the spectrum run in place on column ranges; each
+        # split gives the bits of the out-of-place expressions
+        monkeypatch.setattr(synth, "_chunk_count", lambda work, columns: min(count, columns))
+        h, seed = HurstParam(0.75), 78
+        _, half = documented_half_spectrum(h, n, seed, K3)
+        t = synthesize_fgn(h, n, seed, K3)
+        assert np.array_equal(t.values, np.fft.irfft(np.concatenate(([0.0], half)), n))
+
+    def test_peak_memory_after_the_spectrum(self, monkeypatch):
+        # the spectrum, one array of uniforms and the half spectrum, then the
+        # half spectrum and the path: two trace-sized arrays at a time
+        n = 2**18
+        h = HurstParam(0.8)
+        spectrum = fgn_power_spectrum(h, synth._fourier_frequencies(n), FAST)
+        monkeypatch.setattr(synth, "fgn_power_spectrum", lambda h, lam, mode: spectrum.copy())
+        synthesize_fgn(h, n, 1)  # warm-up
+        tracemalloc.start()
+        try:
+            synthesize_fgn(h, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 8 * n
 
     def test_periodogram_preserves_fuzzed_power(self):
         # the periodogram of the output is the fuzzed spectrum divided by n

@@ -26,6 +26,7 @@ from fgn_toolkit import (
 from fgn_toolkit import traffic
 
 BLOCK = traffic._BLOCK_BINS
+SCAN = traffic._SCAN_BLOCK
 U_MAX = 1.0 - 2.0**-53  # the largest uniform a generator draws
 BAD_COUNTS = r"counts must be nonnegative integers below 2\*\*63"
 BAD_WIDTH = "bin width must be finite and positive"
@@ -53,6 +54,21 @@ def out_of_place(counts, width, spread, uniforms=None):
         if times[i] <= times[i - 1]:
             times[i] = math.nextafter(times[i - 1], math.inf)
     return np.array(times)
+
+
+def spread_peak(spread):
+    """Peak traced memory of one spread, in units of its output's bytes: the
+    times, a block of bins' temporaries and a block of tie flags."""
+    counts = make_rng(22).integers(0, 18, size=2**16)
+    a = ArrivalTrace(counts, 1.0)
+    tracemalloc.start()
+    try:
+        seq = counts_to_interarrivals(a, spread, rng=make_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.times.size == a.total
+    return peak / (8 * a.total)
 
 
 class TestExp2Transform:
@@ -128,10 +144,10 @@ class TestToIntegerCounts:
         out = to_integer_counts(Trace(np.array([1.0])), 0.25)
         assert out.bin_width == 0.25
 
-    def test_peak_memory_is_the_rounded_values_and_the_counts(self, rng):
-        # the clamp works in the rounded array, so the peak is that array
-        # and the int64 output; a few values clamp
-        t = Trace(rng.standard_normal(2**16) * 2.0 + 8.0)
+    def test_peak_memory_is_the_counts_and_a_block(self, rng):
+        # values are rounded and clamped a block at a time, straight into the
+        # int64 output; a few values clamp
+        t = Trace(rng.standard_normal(2**18) * 2.0 + 8.0)
         to_integer_counts(t, 1.0)  # warm-up
         tracemalloc.start()
         try:
@@ -140,7 +156,22 @@ class TestToIntegerCounts:
         finally:
             tracemalloc.stop()
         assert 0.0 < out.clamp_fraction < 0.10
-        assert peak < 2.5 * t.values.nbytes
+        assert peak < 1.125 * t.values.nbytes
+
+    @pytest.mark.filterwarnings("ignore:clamped")
+    @pytest.mark.parametrize("size", [1, SCAN - 1, SCAN, 3 * SCAN + 5])
+    def test_blocks_keep_the_whole_array_bits(self, size):
+        # counts and clamp fraction as the whole-array expressions give them,
+        # with halves that round to even, -0.5 that rounds to -0.0, and
+        # counts of 2**62 + 2**11
+        values = make_rng(31).standard_normal(size) * 3.0 + 1.0
+        values[::5] = np.round(values[::5]) + 0.5
+        values[7::11] = -0.5
+        values[3::97] = 2.0**62 + 2.0**11
+        want = np.maximum(np.rint(values), 0.0).astype(np.int64)
+        out = to_integer_counts(Trace(values), 1.0)
+        assert np.array_equal(out.counts, want)
+        assert out.clamp_fraction == float(np.mean(values < 0.0))
 
 
 class TestArrivalTraceValidation:
@@ -287,17 +318,10 @@ class TestInterarrivalBlocks:
         assert np.array_equal(got.times, want)
 
     def test_even_spread_peak_memory_near_its_output(self):
-        counts = make_rng(22).integers(0, 18, size=2**16)
-        a = ArrivalTrace(counts, 1.0)
-        output_bytes = 8 * a.total
-        tracemalloc.start()
-        try:
-            seq = counts_to_interarrivals(a, "even")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert seq.times.size == a.total
-        assert peak < 1.5 * output_bytes
+        assert spread_peak("even") < 1.125
+
+    def test_uniform_spread_peak_memory_near_its_output(self):
+        assert spread_peak("uniform") < 1.125
 
     def test_every_bin_tied(self):
         # zero uniforms put all of a bin's arrivals on its start: each bin is
@@ -322,6 +346,20 @@ class TestInterarrivalBlocks:
         uniforms = np.array([0.0, 0.0, ulp1, 2 * ulp1, top, top, 0.0, 0.5])
         want = out_of_place(counts, 1.0, "uniform", uniforms)
         assert want[-2] == np.nextafter(float(BLOCK), np.inf)
+        got = counts_to_interarrivals(ArrivalTrace(counts, 1.0), "uniform",
+                                      rng=FixedUniforms(uniforms))
+        assert np.array_equal(got.times, want)
+
+    def test_tie_cascades_cross_the_blocks_of_the_tie_pass(self):
+        # the tie pass flags ties a block of SCAN times at a time, from time 1;
+        # bin 1's 40 equal times cross its first edge, at SCAN + 1, and bin
+        # 3's 20 its second, at 2 SCAN + 1
+        counts = np.array([SCAN - 10, 40, SCAN - 31, 20, 5])
+        uniforms = make_rng(32).random(int(counts.sum()))
+        uniforms[SCAN - 10 : SCAN + 30] = 0.0
+        uniforms[2 * SCAN - 1 : 2 * SCAN + 19] = 0.0
+        want = out_of_place(counts, 1.0, "uniform", uniforms)
+        assert np.all(want[SCAN - 9 : SCAN + 30] > 1.0)  # one cascade of 39 nudges
         got = counts_to_interarrivals(ArrivalTrace(counts, 1.0), "uniform",
                                       rng=FixedUniforms(uniforms))
         assert np.array_equal(got.times, want)
