@@ -11,18 +11,25 @@ trace's consecutive blocks (BLAS matrix products, O(n (max_lag + 1024))
 work, a few MB of scratch for any lag).
 
 The variance-time levels, the A^2 terms and the Q-Q quantiles run on
-ranges (of levels, of pairs of mirrored columns, or of columns) through
-``spectrum._run_chunks``, the thread runner of the spectral sums, with its
-count rule: one range per CPU the process may use for a large trace, and
-no thread for a small one or in a one-CPU process.  A range writes only
-into arrays the calling thread allocated and allocates none itself, and
-every sum over a whole trace or level is taken whole, so the results have
-the same bits however the work is split.
+ranges (of levels, of blocks of pairs of mirrored columns dealt out in
+turn, or of columns) through ``spectrum._run_chunks``, the thread runner
+of the spectral sums, with its count rule: one range per CPU the process
+may use for a large trace, and no thread for a small one or in a one-CPU
+process.  A range writes only into arrays the calling thread allocated and
+allocates none itself, and every sum over a whole trace or level is taken
+whole, so the results have the same bits however the work is split.
+
+The normal CDF of A^2 and the normal quantiles of Q-Q are computed here, in
+numpy alone, so that no part of the package imports scipy: the CDF from
+Cody's rational approximations of erf and erfc, the quantile by Wichura's
+AS241 (``_ndtr``, ``_ndtri``).  Each is piecewise, and both take sorted
+input, on which each piece is a run of columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,11 +67,270 @@ _ACF_BLOCK = 512
 # same, without a reduction call per row (20 -> 2 ms at m = 2, n = 2^21).
 _COLUMN_SUM_BELOW = 8
 
-# Values per block of ad_statistic's pair pass, which bounds its scratch: two
-# arrays of this many values (512 KB) per range.  At n = 2^21 on a 2-vCPU
+# Values per block of ad_statistic's pair pass, which bounds its scratch: three
+# arrays of this many values (768 KB) per range.  At n = 2^21 on a 2-vCPU
 # host A^2 took 128, 75, 60, 63 and 68 ms at 2048, 8192, 32768, 131072 and
-# 2^20, against 68 ms with two trace-sized arrays.
+# 2^20, against 68 ms with two trace-sized arrays (measured with scipy's
+# ndtr); with the CDF below, 85 ms at 16384 against 70 at 32768.  Q-Q's
+# blocks are as long where its memory rule allows.
 _AD_BLOCK = 32768
+
+
+def _pair(num, den, a: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Horner-order coefficients (highest power first) of N(a x) / a^k and
+    D(a x) / a^k, for the numerator N and denominator D of degree k given:
+    the same ratio, in the variable x, and D stays monic."""
+    scale = float(a) ** -np.arange(len(den))
+    return np.array(num, dtype=float) * scale, np.array(den, dtype=float) * scale
+
+
+# Phi(z) = erfc(-z / sqrt 2) / 2 from W. J. Cody, "Rational Chebyshev
+# approximations for the error function", Math. Comp. 23 (1969) 631-637,
+# with the coefficients of his CALERF routine; y = |z| / sqrt 2.
+# erf(y) = y A(y^2) / B(y^2) for y <= 0.46875; erfc(y) = exp(-y^2) C(y) / D(y)
+# for y <= 4; beyond, erfc(y) = exp(-y^2) (1/sqrt(pi) - s P(s) / Q(s)) / y
+# with s = 1/y^2.  A and B are taken in z^2, and C and D in z (one pair for
+# each sign of z); A carries the 1/(2 sqrt 2) of Phi = 1/2 + z A / (2 sqrt 2 B),
+# C the 1/2 of Phi = erfc / 2.
+_CODY_A = np.array([1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+                    3.77485237685302021e2, 3.20937758913846947e3])
+_CODY_B = [1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+           2.84423683343917062e3]
+_CODY_C = np.array([2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+                    6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+                    1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3])
+_CODY_D = [1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+           3.43936767414372164e3, 1.23033935480374942e3]
+_CODY_AB = _pair(_CODY_A * (np.sqrt(0.5) / 2), _CODY_B, 0.5)
+_CODY_CD = {side: _pair(_CODY_C / 2, _CODY_D, side * np.sqrt(0.5)) for side in (-1, 1)}
+_CODY_PQ = _pair([1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+                  1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4],
+                 [1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+                  6.05183413124413191e-2, 2.33520497626869185e-3])
+# the pieces of Phi, by z: where Cody's y crosses 4 and 0.46875, and where
+# exp(-z^2 / 2) gets split (|z| >= 2; below, the rounding of z^2 costs at
+# most one ulp)
+_PHI_EDGES = np.array([-4.0 * np.sqrt(2.0), -2.0, -0.46875 * np.sqrt(2.0), 0.46875 * np.sqrt(2.0),
+                       2.0, 4.0 * np.sqrt(2.0)])
+
+# Phi^-1(p) by M. J. Wichura, "Algorithm AS241: The percentage points of the
+# normal distribution", Applied Statistics 37 (1988) 477-484, PPND16, with
+# the coefficients and the operation order of CPython's
+# statistics._normal_dist_inv_cdf.  q = p - 0.5: for |q| <= 0.425,
+# x = q A(r) / B(r) with r = 0.180625 - q^2; else r = sqrt(-log(min(p, 1 - p)))
+# and x = +-C(r - 1.6) / D(r - 1.6) for r <= 5, +-E(r - 5) / F(r - 5) beyond.
+_AS241_AB = _pair([2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+                   4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+                   1.3314166789178437745e2, 3.3871328727963666080e0],
+                  [5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+                   2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+                   4.2313330701600911252e1, 1.0])
+_AS241_CD = _pair([7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+                   1.2704582524523683826e0, 3.6478483247632045926e0, 5.7694972214606914055e0,
+                   4.6303378461565452959e0, 1.4234371107496835773e0],
+                  [1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+                   1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+                   2.0531916266377588219e0, 1.0])
+_AS241_EF = _pair([2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+                   2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+                   5.4637849111641143699e0, 6.6579046435011037772e0],
+                  [2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+                   7.8686913114561329059e-4, 1.4875361290850614852e-2, 1.3692988092273580531e-1,
+                   5.9983220655588793769e-1, 1.0])
+# the p at which |q| crosses 0.425 and r crosses 5: the pieces of Phi^-1, by p
+_PHI_INV_EDGES = np.array([np.exp(-25.0), 0.075, 0.925, 1.0 - np.exp(-25.0)])
+
+
+def _horner(x: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
+    """out = coef[0] x^k + ... + coef[k], by Horner's rule (out is not x); a
+    leading 1 costs no multiplication.
+
+    One polynomial at a time: numpy buffers a broadcast operation on fewer
+    than 8192 values, so a stacked pair would allocate for small blocks."""
+    if coef[0] == 1.0:
+        np.add(x, coef[1], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+
+
+def _rational(x: np.ndarray, coef, num: np.ndarray, den: np.ndarray) -> None:
+    """num, den = the numerator and denominator of ``coef`` (``_pair``) at x."""
+    _horner(x, coef[0], num)
+    _horner(x, coef[1], den)
+
+
+def _exp_neg_half_square(z: np.ndarray, pair: tuple, split: bool) -> None:
+    """pair[0] = exp(-z^2 / 2); pair[1] is scratch.  When ``split``, as
+    exp(-h^2 / 2) exp(-(z - h)(z + h) / 2) with h = trunc(16 z) / 16: h^2
+    and z - h are exact, so the rounding of z^2, which costs z^2 / 2 ulps
+    of relative error, never occurs."""
+    e, d = pair
+    if not split:
+        np.multiply(z, z, out=e)
+        e *= -0.5
+        np.exp(e, out=e)
+        return
+
+    def h() -> None:
+        np.multiply(z, 16.0, out=e)
+        np.trunc(e, out=e)
+        np.multiply(e, 0.0625, out=e)
+
+    h()
+    np.subtract(z, e, out=d)
+    e += z
+    d *= e
+    h()
+    e *= e
+    e *= -0.5
+    np.exp(e, out=e)
+    d *= -0.5
+    np.exp(d, out=d)
+    e *= d
+
+
+def _phi_center(z, out, work, where) -> None:
+    """Phi = 1/2 + erf(z / sqrt 2) / 2, for |z| / sqrt 2 < 0.46875."""
+    u, num, den = work
+    np.multiply(z, z, out=u)
+    _rational(u, _CODY_AB, num, den)
+    num *= z
+    num /= den
+    np.add(num, 0.5, out=out, where=where)
+
+
+def _phi_tail(z, out, work, where, side: int, far: bool, split: bool) -> None:
+    """Phi(-|z|) = erfc(|z| / sqrt 2) / 2 for z < 0 (``side`` -1), 1 minus it
+    for z > 0 (``side`` 1), for 0.46875 <= |z| / sqrt 2 <= 4, or beyond when
+    ``far``; exp(-z^2 / 2) is split when ``split``."""
+    r, num, den = work
+    if not far:
+        _rational(z, _CODY_CD[side], num, den)
+        np.divide(num, den, out=r)
+    else:
+        np.multiply(z, z, out=r)
+        np.divide(2.0, r, out=r)  # 1 / y^2
+        _rational(r, _CODY_PQ, num, den)
+        num *= r
+        np.divide(num, den, out=r)
+        np.subtract(1.0 / np.sqrt(np.pi), r, out=r)
+        np.abs(z, out=num)
+        num *= np.sqrt(0.5)
+        r /= num
+        r *= 0.5
+    # r = exp(z^2 / 2) Phi(-|z|)
+    _exp_neg_half_square(z, (num, den), split)
+    if side > 0:
+        r *= num
+        np.subtract(1.0, r, out=out, where=where)
+    else:
+        np.multiply(r, num, out=out, where=where)
+
+
+def _quantile_center(p, out, work, where) -> None:
+    """Phi^-1(p) = q A(r) / B(r), for |q| <= 0.425."""
+    r, num, den = work
+    np.subtract(p, 0.5, out=r)
+    r *= r
+    np.subtract(0.180625, r, out=r)
+    _rational(r, _AS241_AB, num, den)
+    np.subtract(p, 0.5, out=r)
+    num *= r
+    np.divide(num, den, out=out, where=where)
+
+
+def _quantile_tail(p, out, work, where, upper: bool, far: bool) -> None:
+    """Phi^-1(p) from r = sqrt(-log(min(p, 1 - p))), for |q| > 0.425, by
+    C / D at r - 1.6 for r <= 5 and E / F at r - 5 beyond; negative below 1/2."""
+    r, num, den = work
+    if upper:
+        np.subtract(1.0, p, out=r)
+    else:
+        np.copyto(r, p)  # numpy's log copies a strided input
+    np.log(r, out=r)
+    np.negative(r, out=r)
+    np.sqrt(r, out=r)
+    r -= 5.0 if far else 1.6
+    _rational(r, _AS241_EF if far else _AS241_CD, num, den)
+    if not upper:
+        np.negative(num, out=num)
+    np.divide(num, den, out=out, where=where)
+
+
+_PHI_PIECES = (
+    partial(_phi_tail, side=-1, far=True, split=True),
+    partial(_phi_tail, side=-1, far=False, split=True),
+    partial(_phi_tail, side=-1, far=False, split=False),
+    _phi_center,
+    partial(_phi_tail, side=1, far=False, split=False),
+    partial(_phi_tail, side=1, far=False, split=True),
+    partial(_phi_tail, side=1, far=True, split=True),
+)
+_PHI_INV_PIECES = (
+    partial(_quantile_tail, upper=False, far=True),
+    partial(_quantile_tail, upper=False, far=False),
+    _quantile_center,
+    partial(_quantile_tail, upper=True, far=False),
+    partial(_quantile_tail, upper=True, far=True),
+)
+
+
+def _piecewise(x, out, work, marks, edges, pieces) -> np.ndarray:
+    """``pieces[k]`` on the values of x in [edges[k - 1], edges[k]), into out
+    (which may be x).
+
+    x has rows sorted ascending along its last axis, so each piece is a run
+    of columns, found by bisection.  With one row, a piece computes its run
+    and writes it whole.  With more, a piece computes the columns where any
+    row holds its values and writes only those values, by the piece number
+    of each value, taken into ``marks[0]`` before any piece writes
+    (``marks[1]`` holds a piece's mask).  A piece uses ``work``, three float
+    arrays shaped like x, as scratch.  ``out``, ``work`` and ``marks`` (two
+    uint8 arrays shaped like x) are allocated when not given.  A value gives
+    the same bits in any position.
+    """
+    x2 = x.reshape(-1, x.shape[-1])
+    out = np.empty_like(x) if out is None else out
+    out2 = out.reshape(x2.shape)
+    work = np.empty((3,) + x2.shape) if work is None else work.reshape((3,) + x2.shape)
+    rows, width = x2.shape
+    if rows == 1:
+        low = high = x2[0]
+    else:
+        marks = np.empty((2,) + x2.shape, np.uint8) if marks is None else marks.reshape((2,) + x2.shape)
+        codes, mask = marks[0], marks[1].view(bool)
+        codes.fill(0)
+        for edge in edges:
+            codes += np.greater_equal(x2, edge, out=mask)
+        low = np.minimum.reduce(x2, axis=0, out=work[0, 0])
+        high = np.maximum.reduce(x2, axis=0, out=work[1, 0])
+    starts = [0] + np.searchsorted(high, edges).tolist()
+    stops = np.searchsorted(low, edges).tolist() + [width]
+    with np.errstate(all="ignore"):  # columns shared with other pieces hold values out of range
+        for k, piece in enumerate(pieces):
+            c0, c1 = starts[k], stops[k]
+            if c0 < c1:
+                where = True if rows == 1 else np.equal(codes[:, c0:c1], k, out=mask[:, c0:c1])
+                piece(x2[:, c0:c1], out2[:, c0:c1], work[:, :, c0:c1], where)
+    return out
+
+
+def _ndtr(z, out=None, work=None, marks=None) -> np.ndarray:
+    """The standard normal CDF Phi of z, whose rows are sorted ascending
+    (``_piecewise``), to a few ulps of relative error for z <= 0 and of
+    absolute error above."""
+    return _piecewise(z, out, work, marks, _PHI_EDGES, _PHI_PIECES)
+
+
+def _ndtri(p, out=None, work=None, marks=None) -> np.ndarray:
+    """The standard normal quantile Phi^-1 of p in (0, 1), whose rows are
+    sorted ascending (``_piecewise``), to a few ulps of relative error."""
+    return _piecewise(p, out, work, marks, _PHI_INV_EDGES, _PHI_INV_PIECES)
 
 
 @dataclass(frozen=True)
@@ -196,10 +462,8 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     Term i of a sorted row z needs z_i and z_{n-1-i}, and so does its
     mirror, term n - 1 - i: both are made from that pair in place, a block
     of pairs at a time, so the memory is one sorted copy of the input and
-    a ``_AD_BLOCK``-value scratch block per range.
+    three ``_AD_BLOCK``-value scratch blocks per range.
     """
-    from scipy.special import ndtr  # here, so that importing the package skips scipy
-
     x = _elementwise(values, lambda v: v.ndim and v.shape[-1] > 1, "A^2 needs rows of 2+ numbers")
     n = x.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a bad row is rejected below
@@ -213,21 +477,26 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     mean = mean.reshape(-1, 1)
     sd = sd.reshape(-1, 1)
     pairs = n // 2
-    ranges = _column_ranges(pairs, _chunk_count(z.size, pairs))
     width = min(max(1, _AD_BLOCK // rows.shape[0]), pairs)
-    scratch = np.empty((len(ranges), 2, rows.shape[0], width))
+    blocks = [(b0, min(b0 + width, pairs)) for b0 in range(0, pairs, width)]
+    # range r takes blocks r, r + count, ...: the tails, whose CDF costs about
+    # twice the centre's, are shared out instead of falling to one range
+    count = min(_chunk_count(z.size, pairs), len(blocks))
+    scratch = np.empty((count, 3, rows.shape[0], width))
+    # the CDF's piece numbers and masks, needed only with more than one row
+    marks = np.empty((count, 2, rows.shape[0], width), np.uint8) if rows.shape[0] > 1 else None
 
-    def cdf(v: np.ndarray) -> None:
+    def cdf(v: np.ndarray, work: np.ndarray, marks) -> None:
         v -= mean
         v /= sd
-        ndtr(v, out=v)
+        _ndtr(v, v, work, marks)
         np.clip(v, 1e-300, 1.0 - 1e-16, out=v)
 
+    evens = np.arange(0.0, 2.0 * width, 2.0)
+
     def weights(w: np.ndarray, first: int) -> np.ndarray:
-        # (2i + 1) / n for i = first, first + 1, ... as an exact running sum
-        w.fill(2.0)
-        w[0] = 2.0 * first + 1.0
-        np.cumsum(w, out=w)
+        # (2i + 1) / n for i = first, first + 1, ...; the numerators are exact
+        np.add(evens[: w.size], 2.0 * first + 1.0, out=w)
         w /= n
         return w
 
@@ -236,13 +505,13 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
         # each log1p(-z) read back to front: every log and log1p runs on
         # contiguous values (numpy's vector loops can round strided ones
         # differently)
-        c0, c1 = ranges[r]
-        for b0 in range(c0, c1, width):
-            b1 = min(b0 + width, c1)
+        for b0, b1 in blocks[r::count]:
             lo, hi = rows[:, b0:b1], rows[:, n - b1 : n - b0]
-            s, t = scratch[r, :, :, : b1 - b0]
-            cdf(lo)
-            cdf(hi)
+            work = scratch[r, :, :, : b1 - b0]
+            mark = None if marks is None else marks[r, :, :, : b1 - b0]
+            cdf(lo, work, mark)
+            cdf(hi, work, mark)
+            s, t = work[:2]
             np.log1p(np.negative(lo, out=s), out=s)
             np.log1p(np.negative(hi, out=t), out=t)
             np.log(lo, out=lo)
@@ -252,10 +521,9 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
             lo *= weights(s[0], b0)
             hi *= weights(t[0], n - b1)
 
-    _run_chunks(terms, [(r, r + 1) for r in range(len(ranges))])
+    _run_chunks(terms, [(r, r + 1) for r in range(count)])
     if n % 2:  # the middle value is its own mirror, and its weight (2i + 1) / n is 1
-        mid = rows[:, pairs : pairs + 1].copy()  # contiguous, as above
-        cdf(mid)
+        mid = np.clip(_ndtr((rows[:, pairs : pairs + 1] - mean) / sd), 1e-300, 1.0 - 1e-16)
         rows[:, pairs : pairs + 1] = np.log(mid) + np.log1p(-mid)
     a2 = (-n - np.sum(z, axis=-1)) * (1.0 + 0.75 / n + 2.25 / n**2)
     return float(a2) if x.ndim == 1 else a2
@@ -276,25 +544,30 @@ def qq_points(t: Trace) -> np.ndarray:
     plotting positions (i - 0.5)/n.  A constant trace is rejected: its
     sample quantiles have no spread to compare.
     """
-    from scipy.special import ndtri  # here, so that importing the package skips scipy
-
     _integer(t.n, 2, "Q-Q plot needs at least 2 samples")
     t._spread()
     n = t.n
     out = np.empty((n, 2))
     ordered = np.sort(t.values)
+    ranges = _column_ranges(n, _chunk_count(n, n))
+    # three blocks of scratch per range and one row of 0, 1, 2, ...: at most
+    # 0.8 bytes per point in all
+    width = min(_AD_BLOCK, max(1, n // (10 * (3 * len(ranges) + 1))))
+    work = np.empty((len(ranges), 3, width))
+    iota = np.arange(width, dtype=float)
 
-    def fill(c0: int, c1: int) -> None:
-        p = out[c0:c1, 0]
-        # i - 0.5 for i = c0+1..c1 as an exact running sum, then over n
-        p.fill(1.0)
-        p[0] = c0 + 0.5
-        np.cumsum(p, out=p)
-        p /= n
-        ndtri(p, out=p)
+    def fill(r: int, _: int) -> None:
+        c0, c1 = ranges[r]
+        for b0 in range(c0, c1, width):
+            b1 = min(b0 + width, c1)
+            # (i - 0.5) / n for i = b0+1..b1; the numerators are exact
+            p = out[b0:b1, 0]
+            np.add(iota[: b1 - b0], b0 + 0.5, out=p)
+            p /= n
+            _ndtri(p, p, work[r, :, : b1 - b0])
         out[c0:c1, 1] = ordered[c0:c1]
 
-    _run_chunks(fill, _column_ranges(n, _chunk_count(n, n)))
+    _run_chunks(fill, [(r, r + 1) for r in range(len(ranges))])
     return out
 
 

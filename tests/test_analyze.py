@@ -21,8 +21,7 @@ from fgn_toolkit import (
     variance_time_curve,
 )
 from fgn_toolkit import analyze
-from fgn_toolkit.analyze import ad_statistic, aggregate, default_m_levels
-from scipy.special import ndtr, ndtri
+from fgn_toolkit.analyze import _ndtr, _ndtri, ad_statistic, aggregate, default_m_levels
 from scipy.stats import norm
 
 
@@ -48,7 +47,7 @@ def ad_formula(x):
     y = np.sort(x, axis=-1)
     mean = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, ddof=1, keepdims=True)
-    z = np.clip(ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
+    z = np.clip(_ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
     s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
     return (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
@@ -62,6 +61,64 @@ def peak_bytes(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# sorted grids of the normal CDF's and quantile's accuracy tests
+PHI_GRID = np.linspace(-37.0, 8.3, 4531)
+PHI_INV_GRID = np.concatenate([np.logspace(-300, -1, 600, endpoint=False), np.linspace(0.1, 0.9, 801),
+                               1.0 - np.logspace(-1, -15, 300)[1:]])
+
+
+def relative_error(got, want):
+    return np.abs(got - want) / np.abs(want)
+
+
+class TestNormalFunctions:
+    """``_ndtr`` and ``_ndtri`` against mpmath and scipy.special.  Below 0 the
+    CDF keeps its relative accuracy (scipy's ``ndtr`` is 879 ulps off near
+    -37); above 0 its error is absolute, as 1 - Phi is rounded to 1."""
+
+    def test_cdf_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.ncdf(mpmath.mpf(z))) for z in PHI_GRID])
+        got = _ndtr(PHI_GRID)
+        low = PHI_GRID <= 0
+        assert relative_error(got[low], want[low]).max() <= 3e-15
+        assert np.abs(got[~low] - want[~low]).max() <= 2.5e-16
+
+    def test_cdf_against_scipy(self):
+        from scipy.special import ndtr
+
+        want = ndtr(PHI_GRID)
+        got = _ndtr(PHI_GRID)
+        low = PHI_GRID <= 0
+        assert relative_error(got[low], want[low]).max() <= 3e-13
+        assert np.abs(got[~low] - want[~low]).max() <= 3.5e-16
+
+    def test_quantile_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        got = _ndtri(PHI_INV_GRID)
+        want = np.empty_like(got)
+        with mpmath.workdps(40):
+            for i, (p, x) in enumerate(zip(PHI_INV_GRID, got)):
+                # two Newton steps from a 1e-15-close start: ~1e-60 close
+                x, p = mpmath.mpf(x), mpmath.mpf(p)
+                for _ in range(2):
+                    x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+                want[i] = float(x)
+        nonzero = want != 0  # Phi^-1(1/2) = 0 exactly
+        assert np.array_equal(got[~nonzero], want[~nonzero])
+        assert relative_error(got[nonzero], want[nonzero]).max() <= 2e-15
+
+    def test_quantile_against_scipy(self):
+        from scipy.special import ndtri
+
+        want = ndtri(PHI_INV_GRID)
+        got = _ndtri(PHI_INV_GRID)
+        nonzero = want != 0
+        assert np.array_equal(got[~nonzero], want[~nonzero])
+        assert relative_error(got[nonzero], want[nonzero]).max() <= 3e-15
 
 
 class TestAggregate:
@@ -295,7 +352,7 @@ class TestNormalityTest:
         # scratch per range
         force_ranges(monkeypatch, 2)
         x = make_rng(33).standard_normal(shape)
-        ad_statistic(x[..., :100])  # imports scipy.special
+        ad_statistic(x[..., :100])  # first-call set-up
         assert peak_bytes(lambda: ad_statistic(x)) < 1.125 * x.nbytes
 
     def test_many_threads_with_fast_switching_keep_bits(self, monkeypatch, synth_cache):
@@ -353,7 +410,7 @@ class TestQQPoints:
     def test_keeps_the_column_stack_bits(self, rng, monkeypatch, n, count):
         force_ranges(monkeypatch, count)
         x = rng.standard_normal(n)
-        want = np.column_stack([ndtri((np.arange(1, n + 1) - 0.5) / n), np.sort(x)])
+        want = np.column_stack([_ndtri((np.arange(1, n + 1) - 0.5) / n), np.sort(x)])
         assert np.array_equal(qq_points(Trace(x)), want)
 
     def test_many_threads_with_fast_switching_keep_bits(self, monkeypatch, synth_cache):

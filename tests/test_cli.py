@@ -590,8 +590,7 @@ class TestFlagContract:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(child_env):
-    # fresh interpreters that find the package where this test found it;
-    # the package needs scipy.special only
+    # fresh interpreters that find the package where this test found it
     for module in ("fgn_toolkit", "fgn_toolkit.cli"):
         code = (f"import sys, {module}; "
                 "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
@@ -601,12 +600,16 @@ def test_cli_import_leaves_scipy_stats_unloaded(child_env):
 
 
 def test_cli_import_leaves_scipy_special_unloaded(child_env):
-    # scipy.special is imported inside the A^2 and Q-Q functions only, so
-    # synth, estimate, convert and spectrum never pay for it
-    code = "import sys, fgn_toolkit.cli; print('scipy.special' in sys.modules)"
+    # the normal CDF of A^2 and the quantiles of Q-Q are the package's own,
+    # so no command and no library call loads any scipy module
+    code = ("import sys, numpy as np, fgn_toolkit.cli; "
+            "from fgn_toolkit import Trace, ad_normality_test, qq_points; "
+            "t = Trace(np.random.default_rng(1).standard_normal(1000)); "
+            "ad_normality_test(t); qq_points(t); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded(child_env):
