@@ -68,7 +68,8 @@ _ACF_BLOCK = 512
 _COLUMN_SUM_BELOW = 8
 
 # Values per block of ad_statistic's pair pass, which bounds its scratch: three
-# arrays of this many values (768 KB) per range.  At n = 2^21 on a 2-vCPU
+# arrays of this many values (768 KB) per range, four when a block holds several
+# rows (2-d input, rows of up to this many values).  At n = 2^21 on a 2-vCPU
 # host A^2 took 128, 75, 60, 63 and 68 ms at 2048, 8192, 32768, 131072 and
 # 2^20, against 68 ms with two trace-sized arrays (measured with scipy's
 # ndtr); with the CDF below, 85 ms at 16384 against 70 at 32768.  Q-Q's
@@ -286,37 +287,48 @@ def _piecewise(x, out, work, marks, edges, pieces) -> np.ndarray:
 
     x has rows sorted ascending along its last axis, so each piece is a run
     of columns, found by bisection.  With one row, a piece computes its run
-    and writes it whole.  With more, a piece computes the columns where any
-    row holds its values and writes only those values, by the piece number
-    of each value, taken into ``marks[0]`` before any piece writes
-    (``marks[1]`` holds a piece's mask).  A piece uses ``work``, three float
-    arrays shaped like x, as scratch.  ``out``, ``work`` and ``marks`` (two
-    uint8 arrays shaped like x) are allocated when not given.  A value gives
-    the same bits in any position.
+    and writes it whole.  With more, the pieces work on a transposed copy of
+    x, in which a run of columns is one block of memory (numpy takes a few
+    microseconds longer for each operation on a strided 2-d view), and a piece
+    computes the columns where any row holds its values and writes only
+    those values, by the piece number of each value, taken into ``marks[0]``
+    before any piece writes (``marks[1]`` holds a piece's mask); the copy
+    then goes into out.  ``work`` holds three float arrays of x.size values
+    that the pieces use as scratch, and a fourth for the copy with more
+    than one row; ``marks`` holds two uint8 arrays of x.size values.  They
+    may be longer, and are allocated when not given, as is ``out``.  A value
+    gives the same bits in any position.
     """
     x2 = x.reshape(-1, x.shape[-1])
-    out = np.empty_like(x) if out is None else out
-    out2 = out.reshape(x2.shape)
-    work = np.empty((3,) + x2.shape) if work is None else work.reshape((3,) + x2.shape)
     rows, width = x2.shape
+    out = np.empty_like(x) if out is None else out
+    work = np.empty((3 + (rows > 1), x2.size)) if work is None else work
     if rows == 1:
-        low = high = x2[0]
+        low = high = src = x2[0]
+        dst = out.reshape(width)
+        scratch = work[:3, :width]
     else:
-        marks = np.empty((2,) + x2.shape, np.uint8) if marks is None else marks.reshape((2,) + x2.shape)
-        codes, mask = marks[0], marks[1].view(bool)
+        low = np.minimum.reduce(x2, axis=0, out=work[0, :width])
+        high = np.maximum.reduce(x2, axis=0, out=work[1, :width])
+        src = dst = work[3, : x2.size].reshape(width, rows)
+        np.copyto(src, x2.T)
+        scratch = work[:3, : x2.size].reshape(3, width, rows)
+        marks = np.empty((2, x2.size), np.uint8) if marks is None else marks
+        codes = marks[0, : x2.size].reshape(width, rows)
+        mask = marks[1, : x2.size].view(bool).reshape(width, rows)
         codes.fill(0)
         for edge in edges:
-            codes += np.greater_equal(x2, edge, out=mask)
-        low = np.minimum.reduce(x2, axis=0, out=work[0, 0])
-        high = np.maximum.reduce(x2, axis=0, out=work[1, 0])
+            codes += np.greater_equal(src, edge, out=mask)
     starts = [0] + np.searchsorted(high, edges).tolist()
     stops = np.searchsorted(low, edges).tolist() + [width]
     with np.errstate(all="ignore"):  # columns shared with other pieces hold values out of range
         for k, piece in enumerate(pieces):
             c0, c1 = starts[k], stops[k]
             if c0 < c1:
-                where = True if rows == 1 else np.equal(codes[:, c0:c1], k, out=mask[:, c0:c1])
-                piece(x2[:, c0:c1], out2[:, c0:c1], work[:, :, c0:c1], where)
+                where = True if rows == 1 else np.equal(codes[c0:c1], k, out=mask[c0:c1])
+                piece(src[c0:c1], dst[c0:c1], scratch[:, c0:c1], where)
+    if rows > 1:
+        np.copyto(out.reshape(x2.shape), dst.T)
     return out
 
 
@@ -462,7 +474,8 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     Term i of a sorted row z needs z_i and z_{n-1-i}, and so does its
     mirror, term n - 1 - i: both are made from that pair in place, a block
     of pairs at a time, so the memory is one sorted copy of the input and
-    three ``_AD_BLOCK``-value scratch blocks per range.
+    three ``_AD_BLOCK``-value scratch blocks per range (four, and two byte
+    blocks, when a block holds several rows).
     """
     x = _elementwise(values, lambda v: v.ndim and v.shape[-1] > 1, "A^2 needs rows of 2+ numbers")
     n = x.shape[-1]
@@ -477,18 +490,24 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     mean = mean.reshape(-1, 1)
     sd = sd.reshape(-1, 1)
     pairs = n // 2
-    width = min(max(1, _AD_BLOCK // rows.shape[0]), pairs)
-    blocks = [(b0, min(b0 + width, pairs)) for b0 in range(0, pairs, width)]
+    # blocks of up to _AD_BLOCK values: ``width`` pairs of columns in
+    # ``height`` rows.  Short rows go many to a block, not every row to a
+    # block of a few columns, whose CDF pieces would each span most rows
+    width = min(_AD_BLOCK, pairs)
+    height = min(_AD_BLOCK // width, rows.shape[0])
+    blocks = [(a0, min(a0 + height, rows.shape[0]), b0, min(b0 + width, pairs))
+              for a0 in range(0, rows.shape[0], height) for b0 in range(0, pairs, width)]
     # range r takes blocks r, r + count, ...: the tails, whose CDF costs about
     # twice the centre's, are shared out instead of falling to one range
-    count = min(_chunk_count(z.size, pairs), len(blocks))
-    scratch = np.empty((count, 3, rows.shape[0], width))
-    # the CDF's piece numbers and masks, needed only with more than one row
-    marks = np.empty((count, 2, rows.shape[0], width), np.uint8) if rows.shape[0] > 1 else None
+    count = _chunk_count(z.size, len(blocks))
+    # per range, the CDF's three work blocks and, with more than one row, its
+    # transposed copy, piece numbers and masks
+    scratch = np.empty((count, 3 + (height > 1), height * width))
+    marks = np.empty((count, 2, height * width), np.uint8) if height > 1 else [None] * count
 
-    def cdf(v: np.ndarray, work: np.ndarray, marks) -> None:
-        v -= mean
-        v /= sd
+    def cdf(v: np.ndarray, span: slice, work: np.ndarray, marks) -> None:
+        v -= mean[span]
+        v /= sd[span]
         _ndtr(v, v, work, marks)
         np.clip(v, 1e-300, 1.0 - 1e-16, out=v)
 
@@ -505,13 +524,12 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
         # each log1p(-z) read back to front: every log and log1p runs on
         # contiguous values (numpy's vector loops can round strided ones
         # differently)
-        for b0, b1 in blocks[r::count]:
-            lo, hi = rows[:, b0:b1], rows[:, n - b1 : n - b0]
-            work = scratch[r, :, :, : b1 - b0]
-            mark = None if marks is None else marks[r, :, :, : b1 - b0]
-            cdf(lo, work, mark)
-            cdf(hi, work, mark)
-            s, t = work[:2]
+        for a0, a1, b0, b1 in blocks[r::count]:
+            span = slice(a0, a1)
+            lo, hi = rows[span, b0:b1], rows[span, n - b1 : n - b0]
+            cdf(lo, span, scratch[r], marks[r])
+            cdf(hi, span, scratch[r], marks[r])
+            s, t = scratch[r, :2, : lo.size].reshape(2, *lo.shape)
             np.log1p(np.negative(lo, out=s), out=s)
             np.log1p(np.negative(hi, out=t), out=t)
             np.log(lo, out=lo)
@@ -571,7 +589,7 @@ def qq_points(t: Trace) -> np.ndarray:
                 np.add(numerators[b0 - width : b1 - width], width, out=numerators[b0:b1])
             p = out[b0:b1, 0]
             np.divide(numerators[b0:b1], n, out=p)
-            _ndtri(p, p, work[r, :, : b1 - b0])
+            _ndtri(p, p, work[r])
         out[c0:c1, 1] = ordered[c0:c1]
 
     _run_chunks(fill, [(r, r + 1) for r in range(len(ranges))])

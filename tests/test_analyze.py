@@ -346,6 +346,14 @@ class TestNormalityTest:
         assert ad_statistic(x).tolist() == want.tolist()
         assert [ad_statistic(row) for row in x] == want.tolist()
 
+    @pytest.mark.parametrize("block", [256, 32768])
+    def test_statistic_of_many_short_rows_keeps_the_formula_bits(self, monkeypatch, block):
+        # blocks of several rows each, the last one shorter, on two ranges
+        force_ranges(monkeypatch, 2)
+        monkeypatch.setattr(analyze, "_AD_BLOCK", block)
+        x = make_rng(7).standard_normal((1001, 64)) * 2.0 + 1.0
+        assert ad_statistic(x).tolist() == ad_formula(x).tolist()
+
     @pytest.mark.parametrize("shape", [(2**21,), (8, 2**18)])
     def test_statistic_peak_memory_is_its_sorted_copy(self, monkeypatch, shape):
         # the sorted copy, made in place into the terms, and a block of

@@ -6,7 +6,7 @@ Anderson-Darling statistic with estimated mean/variance and the
 (1 + 0.75/n + 2.25/n^2) small-sample factor (``ad_statistic``), and
 reports the empirical 95th percentile.  The frozen constant
 AD_CRITICAL_5PCT in fgn_toolkit.analyze comes from this script; rerun it
-to reproduce (about 1.5 minutes on a 2-vCPU host):
+to reproduce (~1 minute):
 
     PYTHONPATH=src python tools/calibrate_ad_critical.py
 """
