@@ -11,13 +11,13 @@ trace's consecutive blocks (BLAS matrix products, O(n (max_lag + 1024))
 work, a few MB of scratch for any lag).
 
 The variance-time levels, the A^2 terms and the Q-Q quantiles run on
-ranges (of levels, of blocks of pairs of mirrored columns dealt out in
-turn, or of columns) through ``spectrum._run_chunks``, the thread runner
-of the spectral sums, with its count rule: one range per CPU the process
-may use for a large trace, and no thread for a small one or in a one-CPU
-process.  A range writes only into arrays the calling thread allocated and
-allocates none itself, and every sum over a whole trace or level is taken
-whole, so the results have the same bits however the work is split.
+ranges (of levels, or of contiguous blocks of sorted values) through
+``spectrum._run_chunks``, the thread runner of the spectral sums, with its
+count rule: one range per CPU the process may use for a large trace, and
+no thread for a small one or in a one-CPU process.  A range writes only
+into arrays the calling thread allocated and allocates none itself, and
+every sum over a whole trace or level is taken whole, so the results have
+the same bits however the work is split.
 
 The normal CDF of A^2 and the normal quantiles of Q-Q are computed here, in
 numpy alone, so that no part of the package imports scipy: the CDF from
@@ -67,13 +67,11 @@ _ACF_BLOCK = 512
 # same, without a reduction call per row (20 -> 2 ms at m = 2, n = 2^21).
 _COLUMN_SUM_BELOW = 8
 
-# Values per block of ad_statistic's pair pass, which bounds its scratch: three
+# Values per block of ad_statistic's terms pass, which bounds its scratch: three
 # arrays of this many values (768 KB) per range, four when a block holds several
-# rows (2-d input, rows of up to this many values).  At n = 2^21 on a 2-vCPU
-# host A^2 took 128, 75, 60, 63 and 68 ms at 2048, 8192, 32768, 131072 and
-# 2^20, against 68 ms with two trace-sized arrays (measured with scipy's
-# ndtr); with the CDF below, 85 ms at 16384 against 70 at 32768.  Q-Q's
-# blocks are as long where its memory rule allows.
+# rows (2-d input).  At n = 2^21 on a 2-vCPU host A^2 took 145, 94, 69, 53, 52
+# and 67 ms at 4096, 8192, 16384, 32768, 131072 and 2^20 (minima of 15 runs).
+# Q-Q's blocks are as long where its memory rule allows.
 _AD_BLOCK = 32768
 
 
@@ -467,15 +465,16 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     Applies the small-sample factor (1 + 0.75/n + 2.25/n^2); compare to
     ``AD_CRITICAL_5PCT``.  CDF values are clipped away from {0, 1} so the
     statistic stays finite for extreme outliers (which fail anyway).  Each
-    row along the last axis is one sample: a 1-d input gives a float, a
-    2-d one an array with one statistic per row.  A row of fewer than 2
+    row along the last axis is one sample: a 1-d input gives a float, more
+    axes an array of shape ``values.shape[:-1]``.  A row of fewer than 2
     numbers, a non-finite value or an sd of 0 or inf raises ``ValueError``.
 
-    Term i of a sorted row z needs z_i and z_{n-1-i}, and so does its
-    mirror, term n - 1 - i: both are made from that pair in place, a block
-    of pairs at a time, so the memory is one sorted copy of the input and
-    three ``_AD_BLOCK``-value scratch blocks per range (four, and two byte
-    blocks, when a block holds several rows).
+    With w_i = (2i + 1) / n, the sum over a sorted row z of
+    w_i [log Phi(z_i) + log(1 - Phi(z_{n-1-i}))] regroups into one term per
+    value, w_i log Phi(z_i) + w_{n-1-i} log(1 - Phi(z_i)), made in place a
+    block at a time, so the memory is one sorted copy of the input and three
+    ``_AD_BLOCK``-value scratch blocks per range (four, and two byte blocks,
+    when a block holds several rows).
     """
     x = _elementwise(values, lambda v: v.ndim and v.shape[-1] > 1, "A^2 needs rows of 2+ numbers")
     n = x.shape[-1]
@@ -487,62 +486,40 @@ def ad_statistic(values: np.ndarray) -> float | np.ndarray:
     # the terms go into the sorted copy z; the sum over each row is taken whole
     z = np.sort(x, axis=-1)
     rows = z.reshape(-1, n)  # a view: one path for one sample and for rows of them
-    mean = mean.reshape(-1, 1)
-    sd = sd.reshape(-1, 1)
-    pairs = n // 2
-    # blocks of up to _AD_BLOCK values: ``width`` pairs of columns in
-    # ``height`` rows.  Short rows go many to a block, not every row to a
-    # block of a few columns, whose CDF pieces would each span most rows
-    width = min(_AD_BLOCK, pairs)
-    height = min(_AD_BLOCK // width, rows.shape[0])
-    blocks = [(a0, min(a0 + height, rows.shape[0]), b0, min(b0 + width, pairs))
-              for a0 in range(0, rows.shape[0], height) for b0 in range(0, pairs, width)]
-    # range r takes blocks r, r + count, ...: the tails, whose CDF costs about
-    # twice the centre's, are shared out instead of falling to one range
-    count = _chunk_count(z.size, len(blocks))
+    mean, sd = mean.reshape(-1, 1), sd.reshape(-1, 1)
+    # blocks of up to _AD_BLOCK values, at most half a row wide: ``height``
+    # rows of ``width`` columns.  Short rows go many to a block, not every row
+    # to a block of a few columns, whose CDF pieces would each span most rows
+    width = min(_AD_BLOCK, n // 2)
+    height = max(1, min(_AD_BLOCK // width, rows.shape[0]))
+    blocks = [(a0, b0) for a0 in range(0, rows.shape[0], height) for b0 in range(0, n, width)]
+    ranges = _column_ranges(len(blocks), _chunk_count(z.size, len(blocks)))
     # per range, the CDF's three work blocks and, with more than one row, its
     # transposed copy, piece numbers and masks
-    scratch = np.empty((count, 3 + (height > 1), height * width))
-    marks = np.empty((count, 2, height * width), np.uint8) if height > 1 else [None] * count
-
-    def cdf(v: np.ndarray, span: slice, work: np.ndarray, marks) -> None:
-        v -= mean[span]
-        v /= sd[span]
-        _ndtr(v, v, work, marks)
-        np.clip(v, 1e-300, 1.0 - 1e-16, out=v)
-
+    scratch = np.empty((len(ranges), 3 + (height > 1), height * width))
+    marks = np.empty((len(ranges), 2, height * width), np.uint8) if height > 1 else [None] * len(ranges)
     evens = np.arange(0.0, 2.0 * width, 2.0)
 
-    def weights(w: np.ndarray, first: int) -> np.ndarray:
-        # (2i + 1) / n for i = first, first + 1, ...; the numerators are exact
-        np.add(evens[: w.size], 2.0 * first + 1.0, out=w)
-        w /= n
-        return w
-
     def terms(r: int, _: int) -> None:
-        # columns [b0, b1) and their mirrors [n - b1, n - b0), in order, and
-        # each log1p(-z) read back to front: every log and log1p runs on
-        # contiguous values (numpy's vector loops can round strided ones
-        # differently)
-        for a0, a1, b0, b1 in blocks[r::count]:
-            span = slice(a0, a1)
-            lo, hi = rows[span, b0:b1], rows[span, n - b1 : n - b0]
-            cdf(lo, span, scratch[r], marks[r])
-            cdf(hi, span, scratch[r], marks[r])
-            s, t = scratch[r, :2, : lo.size].reshape(2, *lo.shape)
-            np.log1p(np.negative(lo, out=s), out=s)
-            np.log1p(np.negative(hi, out=t), out=t)
-            np.log(lo, out=lo)
-            lo += t[:, ::-1]
-            np.log(hi, out=hi)
-            hi += s[:, ::-1]
-            lo *= weights(s[0], b0)
-            hi *= weights(t[0], n - b1)
+        for a0, b0 in blocks[slice(*ranges[r])]:
+            span = slice(a0, a0 + height)
+            v = rows[span, b0 : b0 + width]
+            v -= mean[span]
+            v /= sd[span]
+            _ndtr(v, v, scratch[r], marks[r])
+            np.clip(v, 1e-300, 1.0 - 1e-16, out=v)
+            s = scratch[r, 0, : v.size].reshape(v.shape)
+            ramp, w = scratch[r, 1:3, : v.shape[1]]
+            np.log1p(np.negative(v, out=s), out=s)
+            np.log(v, out=v)
+            # 2i + 1 for the columns i of the block, exactly: the weights of
+            # log Phi(z_i) and log(1 - Phi(z_i)) are ramp / n and (2n - ramp) / n
+            np.add(evens[: ramp.size], 2.0 * b0 + 1.0, out=ramp)
+            v *= np.divide(ramp, n, out=w)
+            s *= np.divide(np.subtract(2.0 * n, ramp, out=w), n, out=w)
+            v += s
 
-    _run_chunks(terms, [(r, r + 1) for r in range(count)])
-    if n % 2:  # the middle value is its own mirror, and its weight (2i + 1) / n is 1
-        mid = np.clip(_ndtr((rows[:, pairs : pairs + 1] - mean) / sd), 1e-300, 1.0 - 1e-16)
-        rows[:, pairs : pairs + 1] = np.log(mid) + np.log1p(-mid)
+    _run_chunks(terms, [(r, r + 1) for r in range(len(ranges))])
     a2 = (-n - np.sum(z, axis=-1)) * (1.0 + 0.75 / n + 2.25 / n**2)
     return float(a2) if x.ndim == 1 else a2
 
@@ -568,27 +545,20 @@ def qq_points(t: Trace) -> np.ndarray:
     out = np.empty((n, 2))
     ordered = np.sort(t.values)
     ranges = _column_ranges(n, _chunk_count(n, n))
-    # three blocks of scratch per range: at most 0.8 bytes per point in all
-    width = min(_AD_BLOCK, max(1, n // (30 * len(ranges))))
+    # three blocks of scratch per range and one row of even numbers: at most
+    # 0.8 bytes per point in all
+    width = min(_AD_BLOCK, max(1, n // (10 * (3 * len(ranges) + 1))))
     work = np.empty((len(ranges), 3, width))
+    evens = np.arange(0.0, 2.0 * width, 2.0)
 
     def fill(r: int, _: int) -> None:
         c0, c1 = ranges[r]
-        # i - 0.5 for i = c0+1..c1, exactly, in the sample column until the
-        # samples go there: a running sum over the first block, then each
-        # block the one before plus the width (a running sum over the whole
-        # range would cost ~4 ns a value)
-        numerators = out[:, 1]
-        head = numerators[c0 : min(c0 + width, c1)]
-        head.fill(1.0)
-        head[0] = c0 + 0.5
-        np.cumsum(head, out=head)
         for b0 in range(c0, c1, width):
-            b1 = min(b0 + width, c1)
-            if b0 > c0:
-                np.add(numerators[b0 - width : b1 - width], width, out=numerators[b0:b1])
-            p = out[b0:b1, 0]
-            np.divide(numerators[b0:b1], n, out=p)
+            # (i - 0.5) / n for i = b0+1, b0+2, ... as (2i - 1) / 2n: the same
+            # quotient of exact numbers, so the same bits
+            p = out[b0 : min(b0 + width, c1), 0]
+            np.add(evens[: p.size], 2.0 * b0 + 1.0, out=p)
+            p /= 2.0 * n
             _ndtri(p, p, work[r])
         out[c0:c1, 1] = ordered[c0:c1]
 

@@ -41,13 +41,29 @@ def fast_switching(run):
         sys.setswitchinterval(interval)
 
 
-def ad_formula(x):
-    """A^2 of each row of x as the whole-array expression of its definition."""
-    n = x.shape[-1]
+def ad_cdf(x):
+    """The clipped normal CDF of each row of x, sorted and standardized."""
     y = np.sort(x, axis=-1)
     mean = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, ddof=1, keepdims=True)
-    z = np.clip(_ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
+    return np.clip(_ndtr((y - mean) / sd), 1e-300, 1.0 - 1e-16)
+
+
+def ad_formula(x):
+    """A^2 of each row of x as a whole-array expression with one term per
+    value: w_i log Phi(z_i) + w_{n-1-i} log(1 - Phi(z_i)), w_i = (2i + 1) / n."""
+    n = x.shape[-1]
+    z = ad_cdf(x)
+    ramp = 2.0 * np.arange(n) + 1.0
+    s = np.sum(ramp / n * np.log(z) + (2.0 * n - ramp) / n * np.log1p(-z), axis=-1)
+    return (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
+
+
+def ad_mirrored_formula(x):
+    """A^2 of each row of x as the textbook expression, one term per pair of
+    mirrored values: w_i [log Phi(z_i) + log(1 - Phi(z_{n-1-i}))]."""
+    n = x.shape[-1]
+    z = ad_cdf(x)
     i = np.arange(1, n + 1)
     s = np.sum((2.0 * i - 1.0) / n * (np.log(z) + np.log1p(-z[..., ::-1])), axis=-1)
     return (-n - s) * (1.0 + 0.75 / n + 2.25 / n**2)
@@ -119,6 +135,24 @@ class TestNormalFunctions:
         nonzero = want != 0
         assert np.array_equal(got[~nonzero], want[~nonzero])
         assert relative_error(got[nonzero], want[nonzero]).max() <= 3e-15
+
+    @pytest.mark.parametrize("fn, edges, middle, draw", [
+        (_ndtr, analyze._PHI_EDGES, [-0.0, 0.0], lambda rng, a: a * rng.standard_normal(24)),
+        (_ndtri, analyze._PHI_INV_EDGES, [0.5], lambda rng, a: rng.uniform(0.0, 1.0, 24) ** a),
+    ], ids=["cdf", "quantile"])
+    def test_sorted_rows_keep_each_rows_bits(self, fn, edges, middle, draw):
+        # several rows go through a transposed copy and a piece number per
+        # value.  Each row holds every edge between pieces, both of its
+        # neighbours and the middle, among random values that put them in
+        # other columns in each row
+        special = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), middle])
+        rng = make_rng(5)
+        x = np.sort([np.concatenate([special, draw(rng, a)]) for a in (0.1, 1.0, 3.0, 10.0, 40.0)], axis=-1)
+        each = [fn(row).tobytes() for row in x]
+        assert [row.tobytes() for row in fn(x)] == each
+        y = x.copy()
+        fn(y, y)
+        assert [row.tobytes() for row in y] == each
 
 
 class TestAggregate:
@@ -299,6 +333,9 @@ class TestNormalityTest:
         x = rng.standard_normal((5, 300)) * 2.0 + 1.0
         each = np.array([ad_statistic(row) for row in x])
         assert np.allclose(ad_statistic(x), each, rtol=1e-12, atol=0)
+        for shape in [(0, 5), (2, 0, 5)]:  # no rows: no statistics
+            got = ad_statistic(np.empty(shape))
+            assert got.dtype == float and got.shape == shape[:-1]
 
     def test_critical_value_calibration_spot_check(self):
         # small re-run of the Monte Carlo behind the frozen 0.752
@@ -353,6 +390,20 @@ class TestNormalityTest:
         monkeypatch.setattr(analyze, "_AD_BLOCK", block)
         x = make_rng(7).standard_normal((1001, 64)) * 2.0 + 1.0
         assert ad_statistic(x).tolist() == ad_formula(x).tolist()
+
+    @pytest.mark.parametrize("shape", [(20,), (21,), (1000,), (1001,), (12345,), (65, 1001), (9, 4096)])
+    def test_statistic_is_the_mirrored_textbook_sum(self, shape):
+        # the same products, grouped and summed in another order.  Every term
+        # has the sign of S = -n - A^2 / c (c the small-sample factor), so
+        # each expression is within (3 + 18 + log2 n) u |S| of the exact sum:
+        # three roundings per term, and numpy's pairwise sum at most 18 +
+        # log2 n additions deep.  With u = eps / 2 and |S| < 2n, the two
+        # differ by at most 2 (21 + log2 n) n eps in S, and c times that in A^2
+        # (-n - S is exact for S in [-2n, -n/2])
+        n = shape[-1]
+        x = make_rng(sum(shape)).standard_normal(shape) * 2.0 + 1.0
+        bound = 2 * (21 + math.log2(n)) * n * np.finfo(float).eps * (1.0 + 0.75 / n + 2.25 / n**2)
+        assert np.all(np.abs(ad_statistic(x) - ad_mirrored_formula(x)) <= bound)
 
     @pytest.mark.parametrize("shape", [(2**21,), (8, 2**18)])
     def test_statistic_peak_memory_is_its_sorted_copy(self, monkeypatch, shape):
