@@ -185,6 +185,9 @@ def counts_to_interarrivals(
     """
     if spread not in ("uniform", "even"):
         raise ValueError(f"spread must be 'uniform' or 'even', got {spread!r}")
+    uniform = spread == "uniform"
+    if uniform and rng is None:
+        raise ValueError("uniform spreading needs a random generator")
     counts = a.counts
     width = a.bin_width
     total = a.total
@@ -194,9 +197,6 @@ def counts_to_interarrivals(
         return InterarrivalSeq(np.empty(0))
     if not np.isfinite(counts.size * width):
         raise ValueError(f"{counts.size} bins of width {width:g} end past the largest float")
-    uniform = spread == "uniform"
-    if uniform and rng is None:
-        raise ValueError("uniform spreading needs a random generator")
     times = np.empty(total)
     if uniform:
         rng.random(out=times)

@@ -103,6 +103,18 @@ class TestNormalFunctions:
         assert relative_error(got[low], want[low]).max() <= 3e-15
         assert np.abs(got[~low] - want[~low]).max() <= 2.5e-16
 
+    def test_cdf_lower_tail_within_6_ulps_of_mpmath(self):
+        # the README's figure, in ulps of the correctly rounded value, on a
+        # fine grid of [-37, 0] plus each edge between pieces there and both
+        # of its neighbours
+        mpmath = pytest.importorskip("mpmath")
+        edges = analyze._PHI_EDGES[analyze._PHI_EDGES <= 0]
+        z = np.sort(np.concatenate([np.linspace(-37.0, 0.0, 37001), edges,
+                                    np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]))
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.ncdf(mpmath.mpf(v))) for v in z])
+        assert np.max(np.abs(_ndtr(z) - want) / np.spacing(want)) <= 6
+
     def test_cdf_against_scipy(self):
         from scipy.special import ndtr
 

@@ -282,6 +282,11 @@ class TestCountsToInterarrivals:
         with pytest.raises(ValueError):
             counts_to_interarrivals(ArrivalTrace(np.array([3]), 1.0), "uniform")
 
+    def test_uniform_requires_rng_when_every_count_is_zero(self):
+        # the same error as for any other counts, not an empty sequence
+        with pytest.raises(ValueError, match="needs a random generator"):
+            counts_to_interarrivals(ArrivalTrace(np.array([0, 0]), 1.0), "uniform")
+
     def test_rejects_unknown_spread(self, rng):
         with pytest.raises(ValueError):
             counts_to_interarrivals(ArrivalTrace(np.array([3]), 1.0), "poisson", rng=rng)
