@@ -1,15 +1,18 @@
 """Command line front end: synthesis, estimation, analysis, conversion.
 
 Exit codes: 0 success, 2 bad flags or domain errors (including sizes numpy
-cannot allocate, and --mean/--sd that rescale a trace past the float range),
-3 I/O failure (including a trace file holding a non-finite value), 4
-degenerate trace (including one whose sample variance overflows, and
-counts or arrival totals too large to represent), 5 estimate converged
-to a search boundary, 6 clamp fraction above 10% under --strict.  Data and
-summaries go to stdout, diagnostics to stderr.
+cannot allocate, --mean/--sd that rescale a trace past the float range,
+and a --lambda-grid start at which the spectrum overflows), 3 I/O failure
+(including a trace file holding a non-finite value), 4 degenerate trace
+(including one whose sample variance overflows, counts or arrival totals
+too large to represent, and bins too narrow to keep their arrival times
+apart), 5 estimate converged to a search boundary, 6 clamp fraction above
+10% under --strict.  Data and summaries go to stdout, diagnostics to stderr.
 Each flag is checked by its parser ``type=``, whatever the other flags say;
 every bad flag, argparse's own errors included, is one ``error:`` line with
-no usage dump.  :func:`main` alone turns an exception into an exit code.
+no usage dump.  :func:`main` alone turns an exception into an exit code;
+a ``ValueError`` of a command that reads no trace (synth, spectrum) is a
+flag's.
 """
 
 from __future__ import annotations
@@ -125,12 +128,9 @@ def _apply_rescale_flags(trace: Trace, args: argparse.Namespace) -> Trace:
 def _cmd_synth(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     started = time.perf_counter()
-    try:
-        # synth reads no trace: the library rejects only its flags here,
-        # n by synthesize_fgn's rule, or a --mean/--sd scale out of range
-        trace = _apply_rescale_flags(synthesize_fgn(args.hurst, args.n, seed, args.mode), args)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    # synth reads no trace, so main reports a ValueError here as a flag's:
+    # n by synthesize_fgn's rule, or a --mean/--sd scale out of range
+    trace = _apply_rescale_flags(synthesize_fgn(args.hurst, args.n, seed, args.mode), args)
     write_trace(args.out, trace, args.format)
     _report_drawn_seed(args.seed, seed)
     elapsed = time.perf_counter() - started
@@ -233,7 +233,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     h, lams, mode = args.hurst, args.lambda_grid, args.mode
     b_vals = np.atleast_1d(spectrum_b(h, lams, mode))
     b_ref = b_vals if mode == NEAR_EXACT else np.atleast_1d(spectrum_b(h, lams, NEAR_EXACT))
-    f_vals = _spectrum_from_b(lams, h.h, b_vals)
+    f_vals = _spectrum_from_b(lams, h.h, b_vals)  # ValueError where f overflows: a flag's
     rel_err = (b_vals - b_ref) / b_ref
     _write_csv(args.out, "lambda,f,B,rel_err_vs_partial10000", lams, f_vals, b_vals, rel_err)
     return 0
@@ -320,9 +320,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
     except ValueError as exc:
-        # the library rejects the trace a command read
-        print(f"error: degenerate trace: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
+        # the library rejects a flag of a command that reads no trace, or the trace read
+        usage = args.func in (_cmd_synth, _cmd_spectrum)
+        print(f"error: {'' if usage else 'degenerate trace: '}{exc}", file=sys.stderr)
+        return _EXIT_USAGE if usage else _EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

@@ -266,14 +266,10 @@ class BMode:
         ``partial:<N>``.
         """
         text = str(text).strip().lower()
-        if text == "fast":
-            return cls.truncated_double_prime()
-        if text == "exact":
-            return cls.partial(200)
-        if text == "prime":
-            return cls.truncated_prime()
-        if text == "doubleprime":
-            return cls.truncated_double_prime()
+        named = {"fast": ("doubleprime", 3), "exact": ("partial", 200),
+                 "prime": ("prime", 3), "doubleprime": ("doubleprime", 3)}
+        if text in named:
+            return cls(*named[text])
         kind, _, terms = text.partition(":")
         if kind in ("k", "partial") and terms.removeprefix("-").isdecimal():
             return cls(kind, int(terms))
@@ -355,8 +351,16 @@ def _power_of(log_x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
 
 
 def _plus_power(log_lam: np.ndarray, h: float, b: np.ndarray, scratch: np.ndarray):
-    """q = lam^(-2h-1) + B in place of ``b``: the one place q is formed."""
-    b += _power_of(log_lam, -2.0 * h - 1.0, scratch)
+    """q = lam^(-2h-1) + B in place of ``b``: the one place q is formed, and so
+    the one rule of both f = A q formers (``fgn_power_spectrum`` and
+    ``_spectrum_from_b``).  Where the power overflows, below lam = (largest
+    float)^(-1/(2h+1)) (about 1e-147 at h = 0.55, 1e-104 at h = 0.99), f
+    would be inf, or nan where 1 - cos lam underflows too: ``ValueError``."""
+    with np.errstate(over="ignore"):
+        b += _power_of(log_lam, -2.0 * h - 1.0, scratch)
+    if not b.max(initial=0.0) < np.inf:  # NaN fails too
+        raise ValueError(f"the spectrum overflows the float range for lambda below "
+                         f"{np.finfo(float).max ** (-1.0 / (2.0 * h + 1.0)):.3g} at h={h}")
     return b
 
 
@@ -513,7 +517,9 @@ def fgn_power_spectrum(h: HurstParam, lam, mode: BMode):
     Strictly positive on (0, pi].  It decreases in lam (long-range
     dependence concentrates power at low frequencies); on very fine grids
     the decrease between adjacent points near pi can fall below double
-    precision resolution for the truncated modes.
+    precision resolution for the truncated modes.  Where lam^(-2h-1)
+    overflows (lam below about 1e-147 at h = 0.55, 1e-104 at h = 0.99) it
+    raises ``ValueError`` (``_plus_power``'s rule), without a numpy warning.
     """
     return _on_open_domain(
         lam, lambda x: _factor_a(x, h.h) * _Shape(x, mode).q(h.h, np.empty_like(x))

@@ -12,12 +12,22 @@ real, zero-mean path whose periodogram equals the fuzzed spectrum exactly
 
 The same module holds :func:`exact_fgn`, an exact Gaussian FGN generator
 (circulant embedding) that tests use as an independent source of truth.
+Both draw their coefficients through one private routine,
+``_half_spectrum``: sqrt(w E) e^(i phi), with E = -log(1 - U) and
+phi = 2 pi U', is a circular complex normal (the Box-Muller pair), so
+Paxson's method is a circulant embedding of length n on the weights f, and
+the exact generator the same construction at length 2n on the circulant's
+eigenvalues.  They differ only in the ends of the half spectrum:
+:func:`synthesize_fgn` zeroes DC and takes |z| at Nyquist; :func:`exact_fgn`
+draws a real normal for DC and takes sqrt(2) Re(z) at Nyquist.
 
 Randomness comes from an explicit ``numpy.random.Generator`` (PCG64 when
-created through :func:`make_rng`).  The draw order is fixed: all n/2
+created through :func:`make_rng`).  The draw order is fixed: all the
 uniforms of the exponential variates (-log(1 - U), by inverse CDF) first,
-then all n/2 phase uniforms; the Nyquist bin's phase is forced to zero
-after the draw, so its half spectrum is exactly conjugate-symmetric.  A
+n/2 for a synthesized path, then as many phase uniforms; the Nyquist
+coefficient of a synthesized path is replaced by its modulus after the
+draw, so its half spectrum is exactly conjugate-symmetric.  :func:`exact_fgn`
+draws n and n uniforms the same way, then one standard normal for DC.  A
 given seed keeps producing the same path across refactors.  Bit-exactness
 is promised only within one build of this package, not across numpy
 versions.
@@ -128,7 +138,8 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     Deterministic per seed.  The output is zero-mean by construction (the
     DC coefficient is zeroed) and its absolute scale is a fixed artifact of
     the 1/n inverse-transform convention; use :func:`rescale_trace` to set
-    physical units.
+    physical units.  The Nyquist coefficient is |z| (see the module
+    docstring).
 
     After the spectrum, the stages run in place: each uniform draw becomes
     its Exp(1) variates or phases in its own array, and the half spectrum
@@ -141,41 +152,44 @@ def synthesize_fgn(h: HurstParam, n: int, seed: int, mode: BMode = FAST) -> Trac
     """
     n = _integer(n, 4, f"n must be an even integer of at least 4, got {n!r}", even=True)
     seed = _integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
-    # one expression, so that the spectrum and the half spectrum are freed once used
-    values = np.fft.irfft(
-        _half_spectrum(fgn_power_spectrum(h, _fourier_frequencies(n), mode), make_rng(seed)), n)
-    return Trace(values, TraceProvenance(h=h, seed=seed, mode=mode))
+    # one expression, so that the spectrum is freed once used
+    half = _half_spectrum(fgn_power_spectrum(h, _fourier_frequencies(n), mode), make_rng(seed))
+    # the Nyquist bin is real; the scalar's own abs() differs from np.abs in
+    # the last bit for about a third of values
+    half[-1] = np.abs(half[-1])
+    return Trace(np.fft.irfft(half, n), TraceProvenance(h=h, seed=seed, mode=mode))
 
 
-def _half_spectrum(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The m + 1 coefficients that ``synthesize_fgn`` inverts, 0 and then
-    z_j = sqrt(f_j E_j) e^(i phi_j) in the documented draw order; overwrites
-    the spectrum ``f``."""
-    m = f.size
-    half = np.empty(m + 1, dtype=complex)
-    half[0] = 0.0
+def _half_spectrum(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The package's one coefficient draw: the m + 1 coefficients 0 and then
+    z_j = sqrt(w_j E_j) e^(i phi_j), j = 1..m, for the m weights ``w``, which
+    it overwrites.  It draws all m uniforms of the E_j = -log(1 - U) first,
+    then all m phase uniforms (phi = 2 pi U'); the last coefficient is left
+    as drawn, for the caller's Nyquist rule.  Each z_j is a circular complex
+    normal with E|z_j|^2 = w_j, each component of variance w_j / 2."""
+    m = w.size
+    half = np.zeros(m + 1, dtype=complex)
     z = half[1:]
     u = rng.random(m)
     ranges = _column_ranges(m, _chunk_count(m, m))
 
-    def fuzz(c0: int, c1: int) -> None:  # sqrt(f E) with E = -log(1 - U)
+    def fuzz(c0: int, c1: int) -> None:  # sqrt(w E) with E = -log(1 - U)
         e = u[c0:c1]
         np.log1p(np.negative(e, out=e), out=e)
-        fc = f[c0:c1]
-        fc *= np.negative(e, out=e)
-        np.sqrt(fc, out=fc)
+        wc = w[c0:c1]
+        wc *= np.negative(e, out=e)
+        np.sqrt(wc, out=wc)
 
     def phase(c0: int, c1: int) -> None:  # times e^(i phi), phi = 2 pi U
         zc = z[c0:c1]
         zc.real = 0.0
         np.multiply(2.0 * np.pi, u[c0:c1], out=zc.imag)
         np.exp(zc, out=zc)
-        zc *= f[c0:c1]
+        zc *= w[c0:c1]
 
     _run_chunks(fuzz, ranges)
     rng.random(out=u)
     _run_chunks(phase, ranges)
-    z[-1] = np.abs(z[-1])  # the Nyquist bin is real
     return half
 
 
@@ -184,13 +198,19 @@ def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
 
     The lags r(0..n) of :func:`fgn_autocorrelation` form the first row
     ``[r(0), ..., r(n), r(n-1), ..., r(1)]`` of a 2n x 2n circulant whose
-    leading n x n block is the FGN covariance; its eigenvalues are the real
-    part of that row's FFT.  With z = a + ib, the path is the first n
-    values of Re(FFT(sqrt(eig / 2n) * z)), whose covariance is exactly
-    the circulant's (Davies & Harte 1987; Wood & Chan 1994).  O(n log n),
-    no size cap.
+    leading n x n block is the FGN covariance.  Its n + 1 distinct
+    eigenvalues eig_0..eig_n are the first n + 1 values of that row's real
+    FFT, taken as ``np.fft.hfft(r, 2n)`` without building the row.  The
+    path is the first n values of the real inverse FFT, of length 2n, of
+    the half spectrum that :func:`synthesize_fgn` draws
+    (``_half_spectrum``) on the weights 2n eig_1..2n eig_n, with the DC
+    coefficient sqrt(2n eig_0) N(0, 1) and the Nyquist coefficient z_n
+    replaced by sqrt(2) Re(z_n); its covariance is exactly the circulant's
+    (Davies & Harte 1987; Wood & Chan 1994).  O(n log n), no size cap.
+    The returned values own exactly n floats.
 
-    Draw order: 2n standard normals for a, then 2n for b.
+    Draw order: n uniforms for the exponential variates, n phase uniforms
+    (as in :func:`synthesize_fgn`), then one standard normal for DC.
 
     A negative computed eigenvalue raises ``ValueError``: nothing is
     clipped.  The cause is cancellation in ``fgn_autocorrelation`` at large
@@ -199,16 +219,16 @@ def exact_fgn(h: HurstParam, n: int, rng: np.random.Generator) -> Trace:
     h = 0.996 for n = 2^18 and h = 0.955 for n = 2^20.
     """
     n = _integer(n, 2, f"n must be an integer of at least 2, got {n!r}")
-    r = fgn_autocorrelation(h, np.arange(n + 1))
-    eig = np.fft.fft(np.concatenate((r, r[-2:0:-1]))).real
+    # a copy, so that the other n - 1 values of the transform are freed at once
+    eig = np.fft.hfft(fgn_autocorrelation(h, np.arange(n + 1)), 2 * n)[: n + 1].copy()
     if not eig.min() >= 0:  # NaN fails too
-        raise ValueError(
-            f"circulant embedding of the FGN covariance has a negative eigenvalue "
-            f"for h={h.h}, n={n}"
-        )
-    z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    values = np.fft.fft(np.sqrt(eig / (2 * n)) * z).real[:n]
-    return Trace(values, TraceProvenance(h=h, seed=None, mode=None))
+        raise ValueError(f"circulant embedding of the FGN covariance has a negative "
+                         f"eigenvalue for h={h.h}, n={n}")
+    half = _half_spectrum(eig[1:] * (2 * n), rng)
+    half[0] = math.sqrt(2 * n * eig[0]) * rng.standard_normal()
+    half[-1] = math.sqrt(2.0) * half[-1].real
+    # a copy, so that the trace does not keep the other n values alive
+    return Trace(np.fft.irfft(half, 2 * n)[:n].copy(), TraceProvenance(h=h))
 
 
 def rescale_trace(t: Trace, target_mean: float, target_sd: float) -> Trace:

@@ -7,7 +7,8 @@ Real values then become integer per-bin counts, and counts become event
 times within their bins, spread uniformly (approximately exponential
 interarrivals) or evenly (constant interarrivals): bin b of width w puts
 its arrivals at (b + f) w for fractions f in [0, 1), rounded so that no
-time leaves [b w, (b + 1) w].  The count and interarrival steps write into
+time leaves [b w, (b + 1) w]; bins too narrow to keep their times apart
+there raise ``ValueError``.  The count and interarrival steps write into
 their one output array a block at a time: counts are rounded and clamped
 a block of values at a time, event times are placed a block of bins at a
 time, and the tie pass that then nudges ties in both spreads flags them a
@@ -173,7 +174,11 @@ def counts_to_interarrivals(
     (an even tie needs over 2**22 bins before a bin of ~2**31), leaving
     exactly sum(counts) strictly increasing times.  Raises ``ValueError``
     before allocating when the total exceeds 2**31 or when the last bin's
-    end, len(counts) * bin_width, overflows.
+    end, len(counts) * bin_width, overflows; and, once a tie was nudged,
+    when a bin's last time has been carried past fl((b + 1) w) (bins a few
+    subnormal ulps wide, or two times rounded to the end of one bin), so
+    every time returned stays in its bin.  That check walks the blocks of
+    bins again, only after a nudge.
 
     The times are written into one preallocated array, one block of
     ``_BLOCK_BINS`` bins at a time, so each block's arithmetic and sort
@@ -201,16 +206,15 @@ def counts_to_interarrivals(
     if uniform:
         rng.random(out=times)
     edges = range(0, counts.size, _BLOCK_BINS)
-    stop = 0
-    for b0, size in zip(edges, np.add.reduceat(counts, edges).tolist()):
-        start, stop = stop, stop + size
-        if size == 0:
+    stops = np.cumsum(np.add.reduceat(counts, edges)).tolist()
+    for b0, start, stop in zip(edges, [0] + stops, stops):
+        if start == stop:
             continue
         c = counts[b0 : b0 + _BLOCK_BINS]
         seg = times[start:stop]
         if not uniform:
             # index of each event within its bin, exact in float64 below 2**53
-            np.subtract(np.arange(size, dtype=float),
+            np.subtract(np.arange(seg.size, dtype=float),
                         np.repeat((np.cumsum(c) - c).astype(float), c), out=seg)
             seg += 0.5
             seg /= np.repeat(c.astype(float), c)
@@ -218,14 +222,20 @@ def counts_to_interarrivals(
         seg *= width
         if uniform:
             seg.sort()
-    _break_ties(times)
+    if _break_ties(times):  # a cascade of nudges may carry a bin's last time past its end
+        for b0, start in zip(edges, [0] + stops):
+            c = counts[b0 : b0 + _BLOCK_BINS]
+            if np.any(times[start:][np.cumsum(c)[c > 0] - 1]
+                      > (np.flatnonzero(c) + (b0 + 1.0)) * width):
+                raise ValueError(f"bins of width {width:g} are too narrow to keep their times apart")
     seq = object.__new__(InterarrivalSeq)  # _break_ties has made and checked the order
     object.__setattr__(seq, "times", times)
     return seq
 
 
-def _break_ties(times: np.ndarray) -> None:
-    """Make nondecreasing ``times`` strictly increasing: the one check of their order.
+def _break_ties(times: np.ndarray) -> bool:
+    """Make nondecreasing ``times`` strictly increasing: the one check of their
+    order.  Returns whether any time moved.
 
     Each tie is raised to the next float, left to right; a nudge can only
     tie the time after it, so following each cascade gives the bits of a
@@ -233,9 +243,11 @@ def _break_ties(times: np.ndarray) -> None:
     time, after the cascades of the blocks before, which may run on into
     the block.
     """
+    i = 0
     for b0 in range(1, times.size, _SCAN_BLOCK):
         b1 = min(b0 + _SCAN_BLOCK, times.size)
         for i in (np.flatnonzero(times[b0:b1] <= times[b0 - 1 : b1 - 1]) + b0).tolist():
             while i < times.size and times[i] <= times[i - 1]:
                 times[i] = np.nextafter(times[i - 1], np.inf)
                 i += 1
+    return i > 0  # i, a flagged tie's index, is at least 1

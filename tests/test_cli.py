@@ -406,6 +406,18 @@ class TestConvert:
         assert err_lines == ["error: degenerate trace: cannot rescale a constant trace"]
         assert not (tmp_path / "c.txt").exists()
 
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_bins_too_narrow_for_their_times_exit_4(self, tmp_path, capsys, spread):
+        path = tmp_path / "t.txt"
+        write_values(path, [3.0, 3.0, 3.0])
+        assert run("convert", "--in", str(path), "--bin-width", "5e-324", "--emit",
+                   "interarrivals", "--spread", spread, "--seed", "1",
+                   "--out", str(tmp_path / "c.txt")) == 4
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == ["clamp_fraction=0.0000", "error: degenerate trace: bins of width "
+                             "4.94066e-324 are too narrow to keep their times apart"]
+        assert not (tmp_path / "c.txt").exists()
+
     def test_bad_bin_width_exits_2(self, tmp_path, rng):
         path = tmp_path / "t.txt"
         write_values(path, rng.standard_normal(64))
@@ -465,6 +477,14 @@ class TestSpectrumTable:
                    "--lambda-grid", "0.01:3:1000000000000000") == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: lambda grid steps must be at most 65536, got 1000000000000000"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spectrum_exits_2_with_one_line(self, capsys):
+        # lambda^(-2h-1) overflows at 1e-300: f was nan, with two numpy warnings
+        assert run("spectrum", "--hurst", "0.7", "--mode", "exact",
+                   "--lambda-grid", "1e-300:1e-300:2") == 2
+        assert one_error_line(capsys) == ("error: the spectrum overflows the float range "
+                                          "for lambda below 3.64e-129 at h=0.7")
 
 
 

@@ -98,6 +98,7 @@ def assert_one_error_line(err, prefix="error: "):
 @example(case=("synth", "--mean", "{}"), text="inf")
 @example(case=("synth", "--sd", "{}"), text="1e308")
 @example(case=("spectrum", "--lambda-grid", "0.01:{}:11"), text="nan")
+@example(case=("spectrum", "--lambda-grid", "{}:3.0:11"), text="1e-300")
 def test_trace_free_commands_exit_0_or_2(work_dir, case, text):
     code, err = run(TRACE_FREE, work_dir, case, text)
     assert "Traceback" not in err

@@ -15,7 +15,9 @@ from fgn_toolkit import (
     HurstParam,
     SpectrumGrid,
     Trace,
+    exact_fgn,
     fgn_power_spectrum,
+    make_rng,
     periodogram,
     qq_points,
     synthesize_fgn,
@@ -559,6 +561,7 @@ def test_one_cpu_process_gives_same_estimates_and_starts_no_thread(synth_cache, 
 ONE_CPU_ANALYSIS_CHILD = PINNED_PRELUDE + """
 import hashlib
 from fgn_toolkit import HurstParam, qq_points, synthesize_fgn, variance_time_curve
+from fgn_toolkit import exact_fgn, make_rng
 from fgn_toolkit.analyze import ad_statistic
 from fgn_toolkit.spectrum import FAST, _Shape, _fourier_frequencies
 sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
@@ -568,15 +571,17 @@ print(sha(trace.values), sha(vt.norm_vars), vt.fitted_slope.hex(), vt.implied_h.
 print(sha(qq_points(trace)), ad_statistic(trace.values).hex())
 shape = _Shape(_fourier_frequencies(2**18), FAST)
 print(sha(shape.log_lam), sha(shape.logs), sha(shape.q(0.7, shape.lam.copy())))
+print(sha(exact_fgn(HurstParam(0.8), 2**19, make_rng(7)).values))
 print(len(starts))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_one_cpu_process_gives_same_analysis_and_starts_no_thread(child_env):
-    # the variance-time levels, the Q-Q columns, the A^2 passes and a
-    # 2^17-point fast shape's lam-only logs are spread over the CPUs; pinned
-    # to one CPU a process starts no thread and every bit is the same
+    # the variance-time levels, the Q-Q columns, the A^2 passes, a 2^17-point
+    # fast shape's lam-only logs and the coefficient draw of a 2^19-point
+    # exact path are spread over the CPUs; pinned to one CPU a process starts
+    # no thread and every bit is the same
     proc = subprocess.run([sys.executable, "-c", ONE_CPU_ANALYSIS_CHILD], capture_output=True,
                           text=True, env=child_env, check=True, timeout=300)
     *child, thread_starts = proc.stdout.split("\n")[:-1]
@@ -591,5 +596,6 @@ def test_one_cpu_process_gives_same_analysis_and_starts_no_thread(child_env):
         f"{sha(trace.values)} {sha(vt.norm_vars)} {vt.fitted_slope.hex()} {vt.implied_h.hex()}",
         f"{sha(qq_points(trace))} {ad_statistic(trace.values).hex()}",
         f"{sha(shape.log_lam)} {sha(shape.logs)} {sha(shape.q(0.7, shape.lam.copy()))}",
+        sha(exact_fgn(HurstParam(0.8), 2**19, make_rng(7)).values),
     ]
     assert thread_starts == "0"

@@ -18,24 +18,39 @@ from fgn_toolkit import (
 )
 
 
-class _BasisNormals:
-    """Stand-in generator whose draws, in order, spell the unit vector e_c."""
+class _SpelledDraws:
+    """Stand-in generator whose draws, in exact_fgn's order, spell coordinate
+    c of its Gaussian input: the real part of z_(c+1) for c < n (E = 1,
+    phase 0), its imaginary part for n <= c < 2n (E = 1, phase pi/2), and
+    the DC normal for c = 2n.  Every other E is 0, so every other z is 0."""
 
     def __init__(self, c: int, n: int):
-        self.e = np.zeros(4 * n)
-        self.e[c] = 1.0
-        self.used = 0
+        self.uniforms = np.zeros((2, n))
+        if c < 2 * n:
+            self.uniforms[:, c % n] = -np.expm1(-1.0), 0.25 * (c >= n)
+        self.normal = float(c == 2 * n)
+        self.calls = []
 
-    def standard_normal(self, size):
-        assert size == self.e.size // 2
-        out = self.e[self.used:self.used + size]
-        self.used += size
+    def random(self, size=None, out=None):
+        draw = self.uniforms[len(self.calls)]
+        self.calls.append(("random", draw.size))
+        if out is None:
+            assert size == draw.size
+            return draw.copy()
+        out[...] = draw
         return out
+
+    def standard_normal(self):
+        self.calls.append(("standard_normal", None))
+        return self.normal
 
 
 def embedding_map(h: HurstParam, n: int) -> np.ndarray:
-    """The n x 4n matrix A with exact_fgn's path = A @ (its 4n normals)."""
-    return np.column_stack([exact_fgn(h, n, _BasisNormals(c, n)).values for c in range(4 * n)])
+    """The n x (2n + 1) matrix A with exact_fgn's path = A @ g for its
+    standard normal input g: Re z_j, Im z_j (each of variance w_j / 2,
+    so sqrt(1/2) times the spelled column) and the DC normal."""
+    cols = [exact_fgn(h, n, _SpelledDraws(c, n)).values for c in range(2 * n + 1)]
+    return np.column_stack(cols) * np.append(np.full(2 * n, np.sqrt(0.5)), 1.0)
 
 
 class TestCovarianceFactor:
@@ -81,18 +96,31 @@ class TestExactFgn:
         L = cholesky_factor(0.8, 64)
         assert np.abs(A @ A.T - L @ L.T).max() <= 1e-12
 
-    def test_draw_order_real_then_imaginary(self):
-        # 4n normals in all: the first 2n scale cosines (x_0 = sqrt(eig_c / 2n)),
-        # the last 2n scale sines (x_0 = 0)
+    def test_draw_order_exponentials_phases_then_dc(self):
+        # n uniforms for E, n phase uniforms, then the DC normal; a real
+        # coordinate scales cosines (x_0 > 0), an imaginary one sines (x_0 = 0)
         n = 16
+        draws = _SpelledDraws(0, n)
+        exact_fgn(HurstParam(0.7), n, draws)
+        assert draws.calls == [("random", n), ("random", n), ("standard_normal", None)]
         A = embedding_map(HurstParam(0.7), n)
-        assert np.all(A[0, :2 * n] > 0)
-        assert np.abs(A[0, 2 * n:]).max() <= 1e-15
+        assert np.all(A[0, :n] > 0) and A[0, 2 * n] > 0
+        assert np.abs(A[0, n:2 * n]).max() <= 1e-15
         rng = make_rng(3)
         exact_fgn(HurstParam(0.7), n, rng)
         after = make_rng(3)
-        after.standard_normal(4 * n)
+        after.random(n)
+        after.random(n)
+        after.standard_normal()
         assert rng.random() == after.random()
+
+    def test_values_own_exactly_n_floats(self):
+        # not a view into the length-2n inverse FFT
+        t = exact_fgn(HurstParam(0.8), 1000, make_rng(0))
+        root = t.values
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == t.values.nbytes == 8000
 
     def test_negative_eigenvalue_raises_one_line(self):
         # cancellation in r(k) at large lags for h this close to 1; the

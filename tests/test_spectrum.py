@@ -281,6 +281,19 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             fgn_power_spectrum(HurstParam(0.7), 0.0, EXACT)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", [FAST, EXACT, BMode.truncated(3)], ids=str)
+    @pytest.mark.parametrize("hval", [0.55, 0.7, 0.9, 0.99])
+    def test_tiny_lambda_is_finite_or_raises(self, hval, mode):
+        # lam^(-2h-1) overflows below exp(-log(max float) / (2h + 1)), where f
+        # was inf, or nan once 1 - cos lam underflows too, with two warnings
+        h = HurstParam(hval)
+        edge = math.exp(-math.log(np.finfo(float).max) / (2 * hval + 1))
+        assert np.all(np.isfinite(fgn_power_spectrum(h, [edge * (1 + 1e-9), 1.0], mode)))
+        for lam in (edge * (1 - 1e-9), 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="^the spectrum overflows the float range"):
+                fgn_power_spectrum(h, [lam, 1.0], mode)
+
 
 class TestBuildSpectrumGrid:
     def test_frequencies_for_n8(self):
@@ -409,3 +422,12 @@ class TestChunks:
         shape = _Shape(lam, EXACT)
         with pytest.raises(ValueError):
             shape._run(0.7, np.empty(16), False, [(0, 16), (16, lam.size)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_on_a_worker_raises_in_caller(self):
+        # the tiny lambda sits in the last of two ranges, on a worker thread
+        lam = fourier_grid(2**20)[::-1].copy()
+        lam[-1] = 1e-300
+        shape = _Shape(lam, FAST)
+        with pytest.raises(ValueError, match="^the spectrum overflows the float range"):
+            shape._run(0.7, np.empty_like(lam), True, [(0, lam.size // 2), (lam.size // 2, lam.size)])

@@ -278,6 +278,32 @@ class TestCountsToInterarrivals:
         with pytest.raises(ValueError, match="3 bins of width 1e\\+308 end past the largest"):
             counts_to_interarrivals(a, spread, rng=make_rng(1))
 
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_rejects_bins_too_narrow_to_keep_times_apart(self, spread):
+        # bin 0 is [0, 5e-324]: the tie pass once pushed its third time to 1e-323
+        a = ArrivalTrace(np.array([3, 3, 3]), 5e-324)
+        with pytest.raises(ValueError, match="^bins of width 4.94066e-324 are too narrow"):
+            counts_to_interarrivals(a, spread, rng=make_rng(1))
+
+    @pytest.mark.parametrize("spread", ["uniform", "even"])
+    def test_ties_that_stay_in_their_bins_at_a_few_ulps(self, spread):
+        # bins of 4 subnormal ulps hold 3 times apart, as the tie pass leaves them
+        a = ArrivalTrace(np.array([3, 0, 3, 3]), 4 * 5e-324)
+        got = counts_to_interarrivals(a, spread, rng=make_rng(1)).times
+        b = np.repeat(np.arange(4.0), a.counts)
+        assert np.all((b * a.bin_width <= got) & (got <= (b + 1) * a.bin_width))
+        assert np.all(got[1:] > got[:-1])
+
+    def test_rejects_a_nudge_past_a_bins_end_at_unit_width(self):
+        # 1 + the largest uniform rounds to 2.0, bin 1's end: twice, the
+        # second tie would be nudged into bin 2
+        a = ArrivalTrace(np.array([0, 2, 1]), 1.0)
+        with pytest.raises(ValueError, match="^bins of width 1 are too narrow"):
+            counts_to_interarrivals(a, "uniform", rng=FixedUniforms([U_MAX, U_MAX, 0.5]))
+        one = counts_to_interarrivals(ArrivalTrace(np.array([0, 1, 1]), 1.0), "uniform",
+                                      rng=FixedUniforms([U_MAX, 0.0])).times
+        assert one.tolist() == [2.0, np.nextafter(2.0, 3.0)]  # nudged inside bin 2
+
     def test_uniform_requires_rng(self):
         with pytest.raises(ValueError):
             counts_to_interarrivals(ArrivalTrace(np.array([3]), 1.0), "uniform")
